@@ -17,8 +17,10 @@
 //
 // Emits BENCH_overhead.json next to the binary's cwd for the perf
 // trajectory; PX_BENCH_SMOKE=1 shrinks everything to CI scale.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -96,7 +98,9 @@ parcel::action_id dispatch_count_action() {
 core::runtime_params storm_params(bool coalesce) {
   core::runtime_params p;
   p.localities = 4;
-  p.workers_per_locality = 2;
+  // All localities' workers together match the cores, so the storm is not
+  // measured oversubscribed.
+  p.workers_per_locality = std::max(1u, kWorkers / 4);
   if (!coalesce) p.parcel_flush_count = 1;  // one frame per parcel
   return p;
 }
@@ -132,6 +136,7 @@ double parcel_storm_ns(bool coalesce, bool spawning, int parcels) {
   if (g_parcel_sink.load() != parcels) {
     std::fprintf(stderr, "parcel storm lost parcels: %lld/%d\n",
                  static_cast<long long>(g_parcel_sink.load()), parcels);
+    std::exit(1);
   }
   return ms * 1e6 / parcels;
 }

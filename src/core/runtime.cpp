@@ -166,6 +166,15 @@ runtime::runtime(runtime_params params)
   threads::scheduler_params sp;
   sp.workers = params_.workers_per_locality;
   sp.stack_bytes = params_.stack_bytes;
+  // Threads on this host that may spin at once, counted here once for both
+  // spin choices (the workers' idle spin and the shm receiver's): every
+  // locality's workers, plus each rank's shm progress thread.  tcp's
+  // progress thread blocks in poll(2) and the sim fabric's on a condition
+  // variable, so neither is counted.
+  const auto n = static_cast<unsigned>(params_.localities);
+  const bool shm = params_.net.backend == "shm";
+  sp.host_threads = n * sp.workers + (shm ? n : 0);
+  const bool host_has_cores = util::spin_pays(sp.host_threads);
 
   // In distributed mode this process hosts exactly one locality (its
   // rank); the other slots stay null so a stray in-process access to a
@@ -218,7 +227,7 @@ runtime::runtime(runtime_params params)
       sp.nranks = static_cast<std::uint32_t>(params_.localities);
       sp.ring_bytes = static_cast<std::size_t>(shm_cfg.get_int(
           "shm.ring_bytes", static_cast<std::int64_t>(sp.ring_bytes)));
-      sp.spin_us = shm_cfg.get_int("shm.spin_us", sp.spin_us);
+      sp.spin_us = shm_cfg.get_int("shm.spin_us", host_has_cores ? 50 : 2);
       dist_ = std::make_unique<net::shm_transport>(sp);
     }
     // Resilience knobs + fault plan resolve from this rank's own

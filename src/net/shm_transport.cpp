@@ -120,13 +120,6 @@ shm_transport::shm_transport(shm_params params) : params_(params) {
                 "shm_transport: rank out of range");
   PX_ASSERT_MSG(params_.ring_bytes >= 4096 && params_.ring_bytes % 8 == 0,
                 "shm_transport: ring_bytes must be >= 4096 and 8-aligned");
-  if (params_.spin_us < 0) {
-    // Spinning only pays when every rank's progress thread can own a core;
-    // on an oversubscribed host it just steals cycles from the peer we are
-    // waiting for, so fall back to (nearly) immediate futex sleep.
-    const unsigned cores = std::thread::hardware_concurrency();
-    params_.spin_us = cores >= 2u * params_.nranks ? 50 : 2;
-  }
   token_ = make_token(params_.rank);
   init_peer_books(params_.nranks, params_.rank);
 

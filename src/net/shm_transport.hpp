@@ -67,10 +67,11 @@ struct shm_params {
   // A frame larger than the ring can never be shipped and is dropped with
   // a diagnostic.
   std::size_t ring_bytes = 1u << 20;
-  // Receiver spin window before futex sleep (PX_SHM_SPIN_US); -1 resolves
-  // by core count: generous when every rank can own a core, minimal when
-  // ranks timeshare (spinning then only steals the sender's cycles).
-  std::int64_t spin_us = -1;
+  // Receiver spin window before futex sleep (PX_SHM_SPIN_US).  The runtime
+  // sets 50 when the host has a core for every busy thread
+  // (util::spin_pays) and 2 otherwise, where spinning only steals the
+  // sender's cycles; the default here is the oversubscribed one.
+  std::int64_t spin_us = 2;
   // Budget for peers to create/attach segments while the mesh comes up.
   std::uint64_t connect_timeout_ms = 20'000;
   // Poisons the link on any record claiming a frame larger than this.

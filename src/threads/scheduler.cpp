@@ -1,5 +1,6 @@
 #include "threads/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -25,6 +26,12 @@ struct worker {
   context sched_ctx;  // parked scheduler loop while a thread runs
   thread_descriptor* current = nullptr;
   util::xoshiro256 rng;
+  // Idle-gap bookkeeping, owner only: when the current gap began (0 while
+  // busy), when a producer's notify cut the last park short (0 if it did
+  // not), and the EWMA of past gap lengths that sizes the spin window.
+  std::int64_t idle_since_ns = 0;
+  std::int64_t notified_ns = 0;
+  std::int64_t gap_ewma_ns = 0;
   // Written by the owning worker, read by stats() from arbitrary threads.
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> sleeps{0};
@@ -34,6 +41,14 @@ struct worker {
 }  // namespace detail
 
 namespace {
+
+// Spin window, from the start of the gap: kMinSpinNs for every gap, about
+// what a few dozen steal sweeps take, so a burst's next task is still
+// caught without a park.  While the host has a core per busy thread and the
+// gap EWMA is under kMaxSpinNs, it stretches to
+// min(kMaxSpinNs, 2 x EWMA + kMinSpinNs).
+constexpr std::int64_t kMaxSpinNs = 50'000;
+constexpr std::int64_t kMinSpinNs = 2'000;
 
 thread_local detail::worker* tl_worker = nullptr;
 
@@ -51,6 +66,8 @@ scheduler::scheduler(scheduler_params params)
   if (params_.workers == 0) {
     params_.workers = std::max(1u, std::thread::hardware_concurrency());
   }
+  if (params_.host_threads == 0) params_.host_threads = params_.workers;
+  spin_ = util::spin_pays(params_.host_threads);
   util::xoshiro256 seeder(params_.seed);
   for (unsigned i = 0; i < params_.workers; ++i) {
     auto w = std::make_unique<detail::worker>();
@@ -166,7 +183,7 @@ void scheduler::enqueue(thread_descriptor* td) {
 
 // Producer half of the sleep/wake handshake.  The push above and the
 // sleepers_ read below must not be reordered against the consumer's
-// "increment sleepers_, then re-check the queues" sequence in idle_wait();
+// "increment sleepers_, then re-check the queues" sequence in park();
 // the seq_cst fences on both sides make this a sound Dekker-style
 // handshake: either we observe the sleeper (and notify), or the sleeper's
 // re-check observes our push — a wakeup can never fall between the cracks.
@@ -180,9 +197,10 @@ void scheduler::wake_for_new_work() {
 }
 
 void scheduler::wake_sleepers(bool all) {
-  // The lock pairs with idle_wait's re-check so a wake between "found no
+  // The lock pairs with park's re-check so a wake between "found no
   // work" and "went to sleep" is never lost.
   std::lock_guard lock(idle_mutex_);
+  notify_ns_ = util::now_ns();
   if (all) {
     idle_cv_.notify_all();
   } else {
@@ -197,34 +215,60 @@ thread_descriptor* scheduler::pop_inject() {
   return td;
 }
 
+// One pass: the own deque, the inject queue, then one steal attempt on
+// every other worker starting from a random victim.
 thread_descriptor* scheduler::find_work(detail::worker& w) {
   if (auto local = w.deque.pop()) return *local;
   if (auto* injected = pop_inject()) return injected;
   const std::size_t n = workers_.size();
-  for (unsigned round = 0; round < params_.steal_rounds; ++round) {
-    if (n > 1) {
-      auto& victim = *workers_[w.rng.below(n)];
-      if (&victim != &w) {
-        if (auto stolen = victim.deque.steal()) {
-          w.steals.fetch_add(1, std::memory_order_relaxed);
-          return *stolen;
-        }
-      }
+  const std::size_t first = n > 1 ? w.rng.below(n) : 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    auto& victim = *workers_[(first + k) % n];
+    if (&victim == &w) continue;
+    if (auto stolen = victim.deque.steal()) {
+      w.steals.fetch_add(1, std::memory_order_relaxed);
+      return *stolen;
     }
-    if (auto* injected = pop_inject()) return injected;
-    if (stop_.load(std::memory_order_relaxed)) return nullptr;
+  }
+  return nullptr;
+}
+
+// Spin-then-park; returns work the spin found, or nullptr after a park.
+thread_descriptor* scheduler::idle(detail::worker& w) {
+  const bool gap_starts = w.idle_since_ns == 0;
+  if (gap_starts) w.idle_since_ns = util::now_ns();
+  // Flush-on-idle: give the embedding layer one shot at deferred work
+  // (outbound parcel coalescing buffers) before this worker spins, so a
+  // coalesced frame never waits out the spin.  Runs again before every
+  // park, so even a fully-asleep locality re-drives it each timeout tick.
+  if (idle_hook_) idle_hook_();
+  // Only a fresh gap spins: a worker back from a park has already waited
+  // longer than any window.
+  if (gap_starts) {
+    if (auto* td = spin(w)) return td;
+    w.sleeps.fetch_add(1, std::memory_order_relaxed);
+  }
+  park(w);
+  return nullptr;
+}
+
+thread_descriptor* scheduler::spin(detail::worker& w) {
+  const bool adaptive = spin_ && w.gap_ewma_ns < kMaxSpinNs;
+  const std::int64_t deadline =
+      w.idle_since_ns +
+      (adaptive ? std::min(kMaxSpinNs, 2 * w.gap_ewma_ns + kMinSpinNs)
+                : kMinSpinNs);
+  // Not in sleepers_, so producers skip the notify while this worker spins.
+  while (!stop_.load(std::memory_order_relaxed)) {
+    if (auto* td = find_work(w)) return td;
+    if (util::now_ns() >= deadline) break;
     util::cpu_relax();
   }
   return nullptr;
 }
 
-void scheduler::idle_wait(detail::worker& w) {
-  // Flush-on-idle: give the embedding layer one shot at deferred work
-  // (outbound parcel coalescing buffers) before this worker parks.  Runs
-  // on every idle pass, so even a fully-asleep locality re-drives it each
-  // timeout tick.
-  if (idle_hook_) idle_hook_();
-  w.sleeps.fetch_add(1, std::memory_order_relaxed);
+void scheduler::park(detail::worker& w) {
+  w.notified_ns = 0;
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
   // Consumer half of the handshake with wake_for_new_work(): the fence
   // orders "announce sleeper" before "re-check queues", pairing with the
@@ -252,8 +296,10 @@ void scheduler::idle_wait(detail::worker& w) {
     for (const auto& other : workers_) {
       any_work = any_work || !other->deque.empty_estimate();
     }
-    if (!stop_.load(std::memory_order_acquire) && !any_work) {
-      idle_cv_.wait_for(lock, std::chrono::microseconds(500));
+    if (!stop_.load(std::memory_order_acquire) && !any_work &&
+        idle_cv_.wait_for(lock, std::chrono::microseconds(500)) ==
+            std::cv_status::no_timeout) {
+      w.notified_ns = notify_ns_;
     }
   }
   sleepers_.fetch_sub(1, std::memory_order_seq_cst);
@@ -276,12 +322,23 @@ void scheduler::worker_main(detail::worker& w) {
   if (worker_init_) worker_init_(w.index);
   while (!stop_.load(std::memory_order_acquire)) {
     thread_descriptor* td = find_work(w);
-    if (td != nullptr) {
-      ready_.fetch_sub(1, std::memory_order_relaxed);
-      run_one(w, td);
-    } else {
-      idle_wait(w);
+    if (td == nullptr) td = idle(w);
+    if (td == nullptr) continue;
+    if (w.idle_since_ns != 0) {
+      // The gap ends when the work showed up: here if this worker found it,
+      // at the notify if one woke it.  Counting the wake-up latency too
+      // would keep a worker that once parked on gaps just under the
+      // ceiling parking forever, and one that spins on them spinning.  A
+      // notify from before this gap (a spurious wake-up) does not count.
+      const std::int64_t end = w.notified_ns > w.idle_since_ns
+                                   ? w.notified_ns
+                                   : util::now_ns();
+      w.gap_ewma_ns += (end - w.idle_since_ns - w.gap_ewma_ns) / 4;
+      w.idle_since_ns = 0;
+      w.notified_ns = 0;
     }
+    ready_.fetch_sub(1, std::memory_order_relaxed);
+    run_one(w, td);
   }
   tl_worker = nullptr;
 }

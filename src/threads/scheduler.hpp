@@ -3,8 +3,20 @@
 // Workers run ParalleX threads from a private Chase–Lev deque (LIFO for the
 // owner, FIFO for thieves); external producers (parcel handlers on the
 // network progress thread, LCO wakeups from other localities) push through a
-// wait-free MPSC inject queue.  Idle workers spin-steal briefly, then sleep
-// on a condition variable with a timeout backstop.
+// wait-free MPSC inject queue.
+//
+// Idle workers spin, then park.  A worker that runs dry first runs the idle
+// hook (the parcel-port flush), then keeps polling the inject queue and the
+// other deques for a window sized from its own recent idle gaps.  Every gap
+// polls for 2 us, which catches the next task of a burst.  Beyond that the
+// worker keeps an EWMA (alpha 1/4) of how long it sat idle before work
+// showed up, and stretches the window only while that EWMA is under 50 us,
+// to at most min(50 us, 2 x EWMA + 2 us).  Short request/reply gaps are
+// then served without a futex wake or a halted core coming back; long gaps
+// park after the 2 us floor, so the CPU burned is bounded by the gap.  The
+// stretch also needs a core per busy thread (util::spin_pays over
+// `host_threads`); an oversubscribed host never spins past the floor.  A
+// parked worker sleeps on a condition variable with a timeout backstop.
 //
 // This layer is the paper's "work queue model" by which message-driven
 // computing "largely circumvents idle cycles due to blocking on remote
@@ -34,7 +46,10 @@ struct worker;  // defined in scheduler.cpp
 struct scheduler_params {
   unsigned workers = 0;  // 0 => hardware_concurrency
   std::size_t stack_bytes = 64 * 1024;
-  unsigned steal_rounds = 64;  // spin-steal attempts before sleeping
+  // Busy threads on the host, these workers included, for the idle-spin
+  // core-count rule; 0 => workers.  The runtime counts every locality's
+  // workers and each shm progress thread.
+  unsigned host_threads = 0;
   std::uint64_t seed = 1;
 };
 
@@ -44,7 +59,7 @@ struct scheduler_stats {
   std::uint64_t steals = 0;
   std::uint64_t yields = 0;
   std::uint64_t suspends = 0;
-  std::uint64_t sleeps = 0;  // times a worker gave up spinning
+  std::uint64_t sleeps = 0;  // idle gaps that outlasted the spin and parked
 };
 
 class scheduler {
@@ -69,10 +84,11 @@ class scheduler {
   void set_worker_init(std::function<void(unsigned)> fn);
 
   // Runs on a worker each time it exhausts local work, theft, and the
-  // inject queue — just before it considers sleeping.  The runtime hangs
-  // the parcel-port flush here, so coalesced parcels leave the moment a
-  // locality has nothing better to do (the paper's "overlap communication
-  // with computation" turned into: communicate when computation runs dry).
+  // inject queue — before it spins, and again before each park.  The
+  // runtime hangs the parcel-port flush here, so coalesced parcels leave
+  // the moment a locality has nothing better to do (the paper's "overlap
+  // communication with computation" turned into: communicate when
+  // computation runs dry).
   // Must be set before start(); must not block.
   void set_idle_hook(std::function<void()> fn);
 
@@ -154,7 +170,9 @@ class scheduler {
   void run_one(detail::worker& w, thread_descriptor* td);
   thread_descriptor* find_work(detail::worker& w);
   thread_descriptor* pop_inject();
-  void idle_wait(detail::worker& w);
+  thread_descriptor* idle(detail::worker& w);
+  thread_descriptor* spin(detail::worker& w);
+  void park(detail::worker& w);
   thread_descriptor* acquire_descriptor(std::function<void()> fn);
   void recycle(thread_descriptor* td);
   void enqueue(thread_descriptor* td);
@@ -162,6 +180,7 @@ class scheduler {
   void wake_sleepers(bool all);
 
   scheduler_params params_;
+  bool spin_ = false;  // util::spin_pays(host_threads), resolved once
   std::function<void(unsigned)> worker_init_;
   std::function<void()> idle_hook_;
   std::vector<std::unique_ptr<detail::worker>> workers_;
@@ -174,6 +193,7 @@ class scheduler {
 
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
+  std::int64_t notify_ns_ = 0;  // last idle_cv_ notify; under idle_mutex_
   std::atomic<unsigned> sleepers_{0};
 
   mutable std::mutex quiesce_mutex_;

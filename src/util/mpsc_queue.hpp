@@ -40,16 +40,16 @@ class intrusive_mpsc_queue {
   // whole push window — treating this nullptr as definitive is the classic
   // lost-wakeup feeder.
   T* pop() noexcept {
-    T* tail = tail_;
+    T* tail = tail_.load(std::memory_order_relaxed);
     T* next = tail->next.load(std::memory_order_acquire);
     if (tail == &stub_) {
       if (next == nullptr) return nullptr;  // empty
-      tail_ = next;
+      tail_.store(next, std::memory_order_relaxed);
       tail = next;
       next = next->next.load(std::memory_order_acquire);
     }
     if (next != nullptr) {
-      tail_ = next;
+      tail_.store(next, std::memory_order_relaxed);
       return tail;
     }
     T* head = head_.load(std::memory_order_acquire);
@@ -57,26 +57,35 @@ class intrusive_mpsc_queue {
     push(&stub_);
     next = tail->next.load(std::memory_order_acquire);
     if (next != nullptr) {
-      tail_ = next;
+      tail_.store(next, std::memory_order_relaxed);
       return tail;
     }
     return nullptr;
   }
 
-  // True only when the queue is definitely empty.  head_ points at the
-  // stub iff every pushed node has been fully consumed; a producer mid-push
-  // has already swung head_ to its node, so this reports "non-empty" for
-  // the entire push window.  That conservatism is load-bearing: it is what
-  // lets the scheduler's idle path sleep safely after pop() returned
-  // nullptr.  (Deliberately reads only head_: tail_ is consumer-private and
-  // reading it here from other threads would be a data race.)
+  // True only when the queue is definitely empty: every pushed node has
+  // been consumed (tail_ back on the stub) and no push has begun since
+  // (head_ still on the stub).  A producer mid-push has already swung head_
+  // to its node, so this reports "non-empty" for the entire push window.
+  // That conservatism is load-bearing: it is what lets the scheduler's idle
+  // path sleep safely after pop() returned nullptr.
+  //
+  // head_ alone is not enough.  When a push races pop()'s stub re-push
+  // (the producer's exchange lands first, its `next` link not yet stored),
+  // the stub ends up as head_ behind a live node that pop() just declined
+  // to return; only tail_ still shows it.  Reading head_ first, with
+  // acquire, orders the read of tail_ after every tail_ store that preceded
+  // the stub re-push we saw, so a stub read back from tail_ means those
+  // nodes were consumed.
   bool empty_estimate() const noexcept {
-    return head_.load(std::memory_order_acquire) == &stub_;
+    return head_.load(std::memory_order_acquire) == &stub_ &&
+           tail_.load(std::memory_order_relaxed) == &stub_;
   }
 
  private:
   std::atomic<T*> head_;
-  T* tail_;  // consumer-private; never read outside pop()
+  // Written only by the consumer; atomic so empty_estimate() may read it.
+  std::atomic<T*> tail_;
   // The stub is a real (default-constructed) T so it can sit in the linked
   // list; only its `next` field is ever touched.
   T stub_{};

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -23,6 +24,15 @@ inline void cpu_relax() noexcept {
 #else
   std::atomic_signal_fence(std::memory_order_seq_cst);
 #endif
+}
+
+// The one rule behind every spin-or-sleep choice in the runtime (the
+// scheduler's idle spin, the shm receiver's spin): waiting by spinning pays
+// only when the host has a core for each of the `busy_threads` threads that
+// may spin at once.  Oversubscribed, a spinner just steals cycles from the
+// thread it is waiting for.
+inline bool spin_pays(unsigned busy_threads) noexcept {
+  return std::thread::hardware_concurrency() >= busy_threads;
 }
 
 // Bounded exponential backoff for contended CAS loops.

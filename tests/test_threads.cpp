@@ -1,14 +1,18 @@
 // Unit tests: context switching, stacks, and the work-stealing scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cfenv>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "threads/context.hpp"
 #include "threads/scheduler.hpp"
 #include "threads/stack.hpp"
+#include "util/spinlock.hpp"
 
 namespace {
 
@@ -264,7 +268,7 @@ TEST(Scheduler, SuspendHookMayResumeImmediately) {
 }
 
 TEST(Scheduler, StealsAcrossWorkers) {
-  scheduler sched(scheduler_params{.workers = 4, .steal_rounds = 128});
+  scheduler sched(scheduler_params{.workers = 4});
   sched.start();
   std::atomic<int> done{0};
   // One producer thread spawns children that busy-spin briefly, forcing
@@ -314,6 +318,117 @@ TEST(Scheduler, StatsCountCompletions) {
   EXPECT_EQ(st.spawned, 32u);
   EXPECT_EQ(st.completed, 32u);
   sched.stop();
+}
+
+// ------------------------------------------------------- idle spin / park
+
+struct pings {
+  std::chrono::nanoseconds gap;
+  int count;
+};
+
+// Pings a one-worker scheduler from this plain thread: each ping spawns a
+// task, waits for it to run, then lets the phase's gap pass before the
+// next.  Returns the worker's parks (scheduler_stats::sleeps) per ping over
+// the `measured` pings, which follow the `warmup` ones.
+double parks_per_ping(unsigned host_threads, pings warmup, pings measured) {
+  scheduler sched(scheduler_params{.workers = 1, .host_threads = host_threads});
+  sched.start();
+  std::atomic<int> done{0};
+  int sent = 0;
+  const auto run = [&](pings phase) {
+    for (int i = 0; i < phase.count; ++i) {
+      sched.spawn([&] { done.fetch_add(1, std::memory_order_release); });
+      ++sent;
+      while (done.load(std::memory_order_acquire) != sent) {
+      }
+      const auto until = std::chrono::steady_clock::now() + phase.gap;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+  };
+  run(warmup);
+  const std::uint64_t before = sched.stats().sleeps;
+  run(measured);
+  const std::uint64_t parks = sched.stats().sleeps - before;
+  sched.stop();
+  return static_cast<double>(parks) / measured.count;
+}
+
+// Best of three: a pinger preempted on a shared host makes gaps longer than
+// any window, and those rightly park.
+double best_parks_per_ping(unsigned host_threads, pings warmup,
+                           pings measured) {
+  double best = 1.0;
+  for (int attempt = 0; attempt < 3 && best >= 0.1; ++attempt) {
+    best = std::min(best, parks_per_ping(host_threads, warmup, measured));
+  }
+  return best;
+}
+
+TEST(SchedulerSpin, ShortGapsAreServedWithoutParking) {
+#if defined(PX_TSAN_ACTIVE)
+  GTEST_SKIP() << "instrumented spawns and wake-ups stretch every gap "
+                  "past the 50 us ceiling";
+#endif
+  if (!px::util::spin_pays(2)) {
+    GTEST_SKIP() << "needs a core each for the worker and the pinger";
+  }
+  const pings short_gaps{std::chrono::microseconds(5), 20000};
+  EXPECT_LT(best_parks_per_ping(2, {short_gaps.gap, 2000}, short_gaps), 0.1);
+}
+
+// A worker that parked through long gaps must go back to spinning once the
+// gaps drop under the ceiling.  At 46 us, a gap measured with the futex
+// wake-up latency added would stay over 50 us and park on every ping.
+TEST(SchedulerSpin, GapsUnderTheCeilingSpinAgainAfterLongGaps) {
+#if defined(PX_TSAN_ACTIVE)
+  GTEST_SKIP() << "instrumented spawns and wake-ups stretch every gap "
+                  "past the 50 us ceiling";
+#endif
+  if (!px::util::spin_pays(2)) {
+    GTEST_SKIP() << "needs a core each for the worker and the pinger";
+  }
+  EXPECT_LT(best_parks_per_ping(2, {std::chrono::milliseconds(1), 20},
+                                {std::chrono::microseconds(46), 2000}),
+            0.5);
+}
+
+TEST(SchedulerSpin, LongGapsParkEveryTime) {
+  // 1 ms is past the 50 us ceiling: the spin never outlives its window.
+  const pings long_gaps{std::chrono::milliseconds(1), 200};
+  const double parks = parks_per_ping(2, {long_gaps.gap, 20}, long_gaps);
+  EXPECT_GT(parks, 0.9);
+  EXPECT_LT(parks, 1.1);
+}
+
+TEST(SchedulerSpin, OversubscribedHostParksOnShortGaps) {
+  // 20 us gaps sit inside the window an adaptive spin would open, yet
+  // outlast the 2 us floor every gap polls for, and are long enough that
+  // the worker always goes idle before the next ping.  A worker slowed past
+  // them still parks on most pings; one that spins parks on almost none.
+  const unsigned oversubscribed = std::thread::hardware_concurrency() + 1;
+  const pings gaps{std::chrono::microseconds(20), 2000};
+  const double parks = parks_per_ping(oversubscribed, {gaps.gap, 200}, gaps);
+  EXPECT_GT(parks, 0.5);
+  EXPECT_LT(parks, 1.1);
+}
+
+TEST(SchedulerSpin, OversubscribedHostStillCatchesBackToBackWork) {
+  // The floor poll: with no gap at all the next ping lands within the 2 us
+  // every gap polls for, so even a host that never spins adaptively does
+  // not park between back-to-back tasks.
+#if defined(PX_TSAN_ACTIVE)
+  GTEST_SKIP() << "instrumented spawns stretch every gap past 2 us";
+#endif
+  if (!px::util::spin_pays(2)) {
+    GTEST_SKIP() << "needs a core each for the worker and the pinger";
+  }
+  const unsigned oversubscribed = std::thread::hardware_concurrency() + 1;
+  const pings back_to_back{std::chrono::nanoseconds(0), 20000};
+  EXPECT_LT(best_parks_per_ping(oversubscribed, {back_to_back.gap, 2000},
+                                back_to_back),
+            0.1);
 }
 
 }  // namespace

@@ -379,6 +379,47 @@ TEST(MpscQueue, ManyProducersOneConsumer) {
   EXPECT_EQ(q.pop(), nullptr);
 }
 
+// After pop() returns nullptr, empty_estimate() may say "empty" only if
+// every push that had finished before that pop() began was popped.  The
+// scheduler parks on that answer, so a live node it hides costs a full
+// park timeout.  The race this pins: a push landing inside pop()'s stub
+// re-push leaves the stub as head_ behind a node pop() declined to return.
+TEST(MpscQueue, EmptyEstimateNeverHidesAFinishedPush) {
+  intrusive_mpsc_queue<test_node> q;
+  constexpr int kPerProducer = 200000;
+  constexpr int kProducers = 2;
+  std::vector<std::unique_ptr<test_node[]>> storage;
+  for (int p = 0; p < kProducers; ++p) {
+    storage.push_back(std::make_unique<test_node[]>(kPerProducer));
+  }
+  std::atomic<std::uint64_t> finished{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        q.push(&storage[static_cast<std::size_t>(p)][i]);
+        finished.fetch_add(1, std::memory_order_release);
+        // Let the consumer catch up, so the queue keeps running dry and
+        // pop() keeps taking the stub re-push path.
+        for (int k = 0; k < 16; ++k) cpu_relax();
+      }
+    });
+  }
+  std::uint64_t got = 0;
+  std::uint64_t hidden = 0;
+  while (got < kPerProducer * kProducers) {
+    const std::uint64_t before = finished.load(std::memory_order_acquire);
+    if (q.pop() != nullptr) {
+      ++got;
+    } else if (q.empty_estimate() && got < before) {
+      ++hidden;
+    }
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(hidden, 0u);
+  EXPECT_TRUE(q.empty_estimate());
+}
+
 TEST(BlockingQueue, CloseReleasesBlockedPop) {
   blocking_queue<int> q;
   std::thread t([&] {
