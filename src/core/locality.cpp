@@ -195,7 +195,7 @@ bool locality::hint_gate_allows(gas::gid dest, gas::locality_id source) {
 }
 
 void locality::send_forward_feedback(const parcel::parcel& p) {
-  if (!rt_.distributed() || !rt_.migration_enabled()) return;
+  if (!rt_.distributed()) return;
   if (p.source == gas::invalid_locality || p.source == id_) return;
   if (!hint_gate_allows(p.destination, p.source)) return;
   if (rt_.effective_home(p.destination) == id_) {

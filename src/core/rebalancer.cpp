@@ -153,49 +153,78 @@ void rebalancer::finish_round() {
   }
   std::sort(dests.begin(), dests.end());
 
-  // Act: ship the hottest migratable objects away through the async
-  // px.migrate_object handoff.  The sync-reject path (untagged, missing,
-  // already mid-flight) burns a heat-list slot, not migration budget —
-  // the list is oversampled for exactly that.  When heat names fewer
-  // candidates than the budget (a latency-bound backlog delivers too
-  // rarely for the 1-in-8 sampler to chart it), fall back to shedding any
-  // migratable resident: on a rank this imbalanced, moving something
-  // beats moving nothing.  Each issued handoff holds one round slot; its
-  // ack (or the sentinel drop below, if nothing issued) re-arms the latch.
-  round_slots_.store(1, std::memory_order_release);  // sentinel
-  std::vector<gas::gid> candidates;
-  for (const auto& [id, heat] :
-       rt_.here().hottest_objects(4u * params_.max_migrations)) {
-    (void)heat;
-    candidates.push_back(id);
-  }
+  // Act on the hottest objects.  When heat names fewer candidates than
+  // the budget (a latency-bound backlog delivers too rarely for the 1-in-8
+  // sampler to chart it), fall back to shedding any migratable resident:
+  // on a rank this imbalanced, moving something beats moving nothing.
+  std::vector<gas::gid> candidates = hot_candidates(rank);
   for (const auto id : rt_.migratable_residents(4u * params_.max_migrations)) {
     candidates.push_back(id);  // dup retries sync-reject on the claim; cheap
   }
-  std::uint32_t issued = 0;
-  std::size_t next_dest = 0;
-  for (const auto id : candidates) {
-    if (issued >= params_.max_migrations) break;
-    const gas::locality_id to = dests[next_dest % dests.size()].second;
-    round_slots_.fetch_add(1, std::memory_order_relaxed);
-    const bool accepted = rt_.migrate_gid_async(id, to, [this](bool ok) {
-      if (ok) migrated_.fetch_add(1, std::memory_order_relaxed);
-      release_round_slot();
-    });
-    if (accepted) {
-      ++issued;
-      ++next_dest;
-    } else {
-      round_slots_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
+  const std::uint32_t issued =
+      act(candidates, rank, dests, shed_budget(max_depth, mean));
   if (issued > 0) {
     PX_LOG_DEBUG("rebalancer: shipping %u hot objects off rank %u "
                  "(imbalance %.2f, depth %llu)",
                  issued, rank, imbalance,
                  static_cast<unsigned long long>(max_depth));
   }
+}
+
+std::vector<gas::gid> rebalancer::hot_candidates(gas::locality_id from) {
+  // Oversampled: entries for objects that already migrated away linger
+  // (cooling) in the heat table, and the handoff rejects them.
+  std::vector<gas::gid> out;
+  for (const auto& [id, heat] :
+       rt_.at(from).hottest_objects(4u * params_.max_migrations)) {
+    (void)heat;
+    out.push_back(id);
+  }
+  return out;
+}
+
+std::uint32_t rebalancer::shed_budget(std::uint64_t max_depth,
+                                      double mean) const {
+  // At most the deepest queue's excess over the mean.  A hot object
+  // carries about one unit of ready depth, so shedding more overshoots:
+  // the next round sees the imbalance reversed and moves the objects
+  // back, and the hot set ping-pongs instead of settling.
+  const double excess = static_cast<double>(max_depth) - mean;
+  return std::min(params_.max_migrations, static_cast<std::uint32_t>(excess));
+}
+
+std::uint32_t rebalancer::act(
+    const std::vector<gas::gid>& candidates, gas::locality_id from,
+    const std::vector<std::pair<std::uint64_t, gas::locality_id>>& dests,
+    std::uint32_t budget) {
+  // Migrations cycle across the destinations, shallowest first, so one
+  // idle site does not absorb the entire hot spot (which would just move
+  // the imbalance).  A rejected candidate (no longer at `from`, untagged
+  // across processes, already mid-flight) burns a list slot, not migration
+  // budget — and never yanks an object off the innocent locality it moved
+  // to.  Each issued handoff holds one round slot until its `done` fires
+  // (before migrate_gid_async returns, in-process); the sentinel keeps the
+  // distributed round's latch armed until every candidate has been tried
+  // (the sim round is serialized by round_lock_ instead).
+  round_slots_.store(1, std::memory_order_release);  // sentinel
+  std::uint32_t issued = 0;
+  for (const auto id : candidates) {
+    if (issued >= budget) break;
+    const gas::locality_id to = dests[issued % dests.size()].second;
+    round_slots_.fetch_add(1, std::memory_order_relaxed);
+    const bool accepted =
+        rt_.migrate_gid_async(id, from, to, [this](bool ok) {
+          if (ok) migrated_.fetch_add(1, std::memory_order_relaxed);
+          release_round_slot();
+        });
+    if (accepted) {
+      ++issued;
+    } else {
+      round_slots_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
   release_round_slot();  // drop the sentinel
+  return issued;
 }
 
 void rebalancer::rebalance_once() {
@@ -228,9 +257,7 @@ void rebalancer::rebalance_once() {
   if (max_depth < params_.min_depth || imbalance < params_.threshold) return;
   triggers_.fetch_add(1, std::memory_order_relaxed);
 
-  // Every locality below the mean is an eligible destination, shallowest
-  // first; migrations cycle across them so one idle site does not absorb
-  // the entire hot spot (which would just move the imbalance).
+  // Every locality below the mean is an eligible destination.
   std::vector<std::pair<std::uint64_t, gas::locality_id>> dests;
   for (std::size_t i = 0; i < n; ++i) {
     const auto lid = static_cast<gas::locality_id>(i);
@@ -241,26 +268,9 @@ void rebalancer::rebalance_once() {
   if (dests.empty()) return;
   std::sort(dests.begin(), dests.end());
 
-  // Oversample the heat list: entries for objects that already migrated
-  // away linger (cooling) in the table; rebalance_migrate rejects them
-  // (owner != deepest), so they cost a directory lookup but never a slot
-  // of the migration budget — and never yank an object off the innocent
-  // locality it moved to.
-  const auto hot =
-      rt_.at(deepest).hottest_objects(4u * params_.max_migrations);
-  std::uint32_t moved = 0;
-  std::size_t next_dest = 0;
-  for (const auto& [id, heat] : hot) {
-    (void)heat;
-    if (moved >= params_.max_migrations) break;
-    const gas::locality_id to = dests[next_dest % dests.size()].second;
-    if (rt_.rebalance_migrate(id, deepest, to)) {
-      ++moved;
-      ++next_dest;
-    }
-  }
+  const std::uint32_t moved = act(hot_candidates(deepest), deepest, dests,
+                                  shed_budget(max_depth, mean));
   if (moved > 0) {
-    migrated_.fetch_add(moved, std::memory_order_relaxed);
     PX_LOG_DEBUG("rebalancer: moved %u hot objects off L%u "
                  "(imbalance %.2f, depth %llu)",
                  moved, deepest, imbalance,

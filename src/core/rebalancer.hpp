@@ -15,8 +15,9 @@
 //             act only when it exceeds a threshold and the deepest queue
 //             is deep enough to matter
 //   act       (a) migrate the hottest gid-bound data objects away from the
-//                 overloaded locality (agas::migrate; in-flight parcels
-//                 heal through the stale-cache forwarding path), so the
+//                 overloaded locality through runtime::migrate_gid_async,
+//                 the one handoff on every shape (in-flight parcels heal
+//                 through the stale-cache forwarding path), so the
 //                 *message-driven work follows the objects* to idle sites;
 //             (b) steer process::spawn_any placement toward the shallowest
 //                 ready queues, replacing static round-robin.
@@ -49,6 +50,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gas/gid.hpp"
@@ -65,8 +67,9 @@ struct rebalancer_params {
   // ...and the deepest queue must hold at least this many ready threads
   // (rebalancing a near-idle machine is noise, not adaptation).
   std::uint32_t min_depth = 8;
-  // Object migrations per rebalance round (the next round re-evaluates,
-  // so correction is incremental rather than oscillatory).
+  // Object migrations per rebalance round, further capped at the deepest
+  // queue's excess over the mean (the next round re-evaluates, so
+  // correction is incremental rather than oscillatory).
   std::uint32_t max_migrations = 4;
   // Minimum spacing between rebalance rounds.  Distributed rounds cost
   // parcel round trips, so they run at interval_us * dist_interval_mult.
@@ -113,6 +116,16 @@ class rebalancer {
   void note_depth(std::size_t idx, std::uint64_t depth);
   void finish_round();
   void release_round_slot();
+  // Act, shared by both rounds: the hottest objects at `from` (heat list,
+  // oversampled), how many objects a round may shed, and up to `budget`
+  // handoffs of `candidates` off `from` cycled across `dests`; returns
+  // the number issued.
+  std::vector<gas::gid> hot_candidates(gas::locality_id from);
+  std::uint32_t shed_budget(std::uint64_t max_depth, double mean) const;
+  std::uint32_t act(
+      const std::vector<gas::gid>& candidates, gas::locality_id from,
+      const std::vector<std::pair<std::uint64_t, gas::locality_id>>& dests,
+      std::uint32_t budget);
 
   runtime& rt_;
   rebalancer_params params_;

@@ -58,9 +58,6 @@ runtime_params resolve_net(runtime_params p) {
   if (p.net.root.empty()) {
     p.net.root = cfg.get_string("net.root", "127.0.0.1:7733");
   }
-  if (p.net.migration < 0) {
-    p.net.migration = cfg.get_bool("migration", true) ? 1 : 0;
-  }
   PX_ASSERT_MSG(p.net.backend == "sim" || p.net.backend == "tcp" ||
                     p.net.backend == "shm",
                 "PX_NET_BACKEND must be \"sim\", \"tcp\", or \"shm\"");
@@ -161,7 +158,6 @@ runtime::runtime(runtime_params params)
   // carries them (apply_wire_params overwrites them on other ranks — the
   // whole machine must agree on routing/forwarding/rebalance behavior).
   params_.rebalance = rp.enabled ? 1 : 0;
-  migration_enabled_ = distributed_ && params_.net.migration != 0;
 
   threads::scheduler_params sp;
   sp.workers = params_.workers_per_locality;
@@ -277,18 +273,9 @@ runtime::runtime(runtime_params params)
     transport_ = fabric_.get();
   }
 
-  // Re-read the toggles the exchange may have overwritten (rank 0's values
-  // win machine-wide).  Cross-process rebalancing *is* cross-process
-  // migration, so it cannot run with the protocol off.
+  // Re-read the toggle the exchange may have overwritten (rank 0's value
+  // wins machine-wide).
   rp.enabled = params_.rebalance != 0;
-  if (distributed_) {
-    migration_enabled_ = params_.net.migration != 0;
-    if (rp.enabled && !migration_enabled_) {
-      PX_LOG_WARN("rebalancer disabled: PX_MIGRATION=0 pins objects to "
-                  "their home ranks");
-      rp.enabled = false;
-    }
-  }
 
   pp.flush_bytes = params_.parcel_flush_bytes;
   pp.flush_count = std::max<std::uint32_t>(1, params_.parcel_flush_count);
@@ -735,20 +722,16 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
     const gas::locality_id home = effective_home(id);
     if (home != rank_) {
       // The authoritative directory shard lives in the (effective) home
-      // rank's process.  With migration off the home *is* the owner by
-      // construction; with it on, a forwarding-cache hint (learned from a
-      // home forward's piggyback or an explicit px.agas_resolve)
-      // short-circuits the extra hop — unless it points at a casualty
-      // (purged on the death verdict, but a racing read can still see
-      // one), and absent a hint the parcel routes to the home, whose
-      // directory forwards it onward — always correct, at most one hop
-      // stale.
-      if (migration_enabled_) {
-        if (const auto hint = agas_.cached(rank_, id)) {
-          if (((peer_dead_mask_.load(std::memory_order_acquire) >> *hint) &
-               1u) == 0) {
-            return *hint;
-          }
+      // rank's process.  A forwarding-cache hint (learned from a home
+      // forward's piggyback or an explicit px.agas_resolve) short-circuits
+      // the extra hop — unless it points at a casualty (purged on the
+      // death verdict, but a racing read can still see one), and absent a
+      // hint the parcel routes to the home, whose directory forwards it
+      // onward — always correct, at most one hop stale.
+      if (const auto hint = agas_.cached(rank_, id)) {
+        if (((peer_dead_mask_.load(std::memory_order_acquire) >> *hint) &
+             1u) == 0) {
+          return *hint;
         }
       }
       return home;
@@ -952,28 +935,7 @@ void runtime::run(std::function<void()> root) {
   wait_quiescent();
 }
 
-bool runtime::rebalance_migrate(gas::gid id, gas::locality_id from,
-                                gas::locality_id to) {
-  if (id.kind() != gas::gid_kind::data) return false;
-  PX_ASSERT(to < localities_.size());
-  std::lock_guard migration(migrate_lock_);
-  const auto resolved = agas_.resolve_authoritative(to, id);
-  if (!resolved.has_value()) return false;  // unbound (object destroyed)
-  const gas::locality_id owner = *resolved;
-  if (owner != from || owner == to) return false;  // stale heat entry
-  auto obj = at(owner).get_object(id);
-  if (obj == nullptr) return false;  // racing migrate/destroy; skip
-  // Implant before rebinding, erase after: a parcel racing this move finds
-  // the object wherever its resolution lands it (old owner until the
-  // directory flips, new owner afterwards) — never a gap where dispatch
-  // would run against a missing object.
-  at(to).put_object(id, std::move(obj));
-  agas_.migrate(id, to);
-  at(owner).erase_object(id);
-  return true;
-}
-
-// ------------------------------------------------ cross-process migration
+// -------------------------------------------------------------- migration
 
 namespace {
 
@@ -1073,29 +1035,44 @@ parcel::action_id peer_down_action_id() {
 
 }  // namespace
 
-void runtime::tag_migratable_object(gas::gid id, std::string type_name) {
-  std::lock_guard lock(mig_types_lock_);
-  mig_types_[id] = std::move(type_name);
+bool runtime::claim_migration(gas::gid id, std::string* type) {
+  std::lock_guard lock(migrations_lock_);
+  migration_entry& e = migrations_[id];
+  if (e.in_flight) return false;
+  e.in_flight = true;
+  if (type != nullptr) *type = e.type;
+  return true;
 }
 
-std::optional<std::string> runtime::migration_type_of(gas::gid id) const {
-  std::lock_guard lock(mig_types_lock_);
-  const auto it = mig_types_.find(id);
-  if (it == mig_types_.end()) return std::nullopt;
-  return it->second;
+void runtime::release_migration(gas::gid id, bool retire) {
+  std::lock_guard lock(migrations_lock_);
+  const auto it = migrations_.find(id);
+  PX_ASSERT(it != migrations_.end() && it->second.in_flight);
+  // Retiring forgets the type with the copy: the destination re-tagged on
+  // implant, and keeping ours would grow the table (and the rebalancer's
+  // residency scans) with every object that ever passed through.
+  if (retire || it->second.type.empty()) {
+    migrations_.erase(it);
+  } else {
+    it->second.in_flight = false;
+  }
+}
+
+void runtime::tag_migratable_object(gas::gid id, std::string type_name) {
+  std::lock_guard lock(migrations_lock_);
+  migrations_[id].type = std::move(type_name);
 }
 
 std::vector<gas::gid> runtime::migratable_residents(std::size_t max) const {
   std::vector<gas::gid> tagged;
   {
-    std::lock_guard lock(mig_types_lock_);
-    tagged.reserve(mig_types_.size());
-    for (const auto& [id, type] : mig_types_) {
-      (void)type;
-      tagged.push_back(id);
+    std::lock_guard lock(migrations_lock_);
+    tagged.reserve(migrations_.size());
+    for (const auto& [id, e] : migrations_) {
+      if (!e.type.empty()) tagged.push_back(id);
     }
   }
-  // Residency check outside the types lock (has_object takes the object
+  // Residency check outside the table lock (has_object takes the object
   // table lock; never hold both).
   std::vector<gas::gid> out;
   const locality& here = *localities_[rank_];
@@ -1236,12 +1213,9 @@ std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {
   // pointing at a rank that already retired its copy — a permanently
   // stranded object.  Serializing handoff N+1 behind handoff N's home ack
   // makes directory-update application order follow real time.
-  {
-    std::lock_guard lock(migrating_lock_);
-    const bool claimed = migrating_.insert(id).second;
-    PX_ASSERT_MSG(claimed,
-                  "migration implant for a gid already mid-handoff here");
-  }
+  const bool claimed = claim_migration(id, nullptr);
+  PX_ASSERT_MSG(claimed,
+                "migration implant for a gid already mid-handoff here");
   tag_migratable_object(id, rec.type_name);
   // Implant before the directory flips: from this moment a parcel landing
   // here (raced ahead on a fresh hint) dispatches instead of bouncing.
@@ -1267,91 +1241,88 @@ std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {
     PX_ASSERT_MSG(ok == 1, "home rank refused the directory update");
   }
   agas_.note_owner(rank_, id, rank_);
-  {
-    std::lock_guard lock(migrating_lock_);
-    migrating_.erase(id);
-  }
+  release_migration(id, false);
   return 1;
 }
 
 bool runtime::migrate_gid(gas::gid id, gas::locality_id to) {
   if (id.kind() != gas::gid_kind::data) return false;
   PX_ASSERT(to < params_.localities);
+  gas::locality_id from = rank_;
   if (!distributed_) {
-    // Single-process: the untyped shared_ptr handoff already has the
-    // required ordering; reuse it (asking slot 0 exists in every shape).
-    const auto owner = agas_.resolve_authoritative(0, id);
+    const auto owner = agas_.resolve_authoritative(to, id);
     if (!owner.has_value()) return false;
-    if (*owner == to) return true;
-    return rebalance_migrate(id, *owner, to);
+    from = *owner;
   }
-  if (to == rank_) return here().has_object(id);
-  PX_ASSERT_MSG(this_locality() != nullptr,
-                "migrate_gid must run on a ParalleX thread in distributed "
-                "mode (it blocks on the handoff acknowledgment)");
-  // The blocking form is the async handoff plus a future on the ack.
+  if (from == to) return at(to).has_object(id);
+  // Works from a plain thread too: in-process the ack fires before
+  // migrate_gid_async returns, and an LCO wait off a fiber spin-sleeps.
   lco::promise<std::uint8_t> prom;
   auto fut = prom.get_future();
   const bool issued = migrate_gid_async(
-      id, to, [prom](bool ok) mutable { prom.set_value(ok ? 1 : 0); });
+      id, from, to, [prom](bool ok) mutable { prom.set_value(ok ? 1 : 0); });
   if (!issued) return false;
   return fut.get() == 1;
 }
 
-bool runtime::migrate_gid_async(gas::gid id, gas::locality_id to,
+bool runtime::migrate_gid_async(gas::gid id, gas::locality_id from,
+                                gas::locality_id to,
                                 std::function<void(bool)> done) {
-  PX_ASSERT(distributed_);
-  if (id.kind() != gas::gid_kind::data || !migration_enabled_ ||
-      to == rank_ || to >= params_.localities) {
+  if (id.kind() != gas::gid_kind::data || from == to ||
+      from >= params_.localities || to >= params_.localities ||
+      localities_[from] == nullptr) {
     return false;
   }
-  {
-    std::lock_guard lock(migrating_lock_);
-    if (!migrating_.insert(id).second) return false;
-  }
-  const auto obj = here().get_object(id);
-  const auto type = migration_type_of(id);
+  // (1) Claim the gid: a concurrent second move is rejected, not queued.
+  std::string type;
+  if (!claim_migration(id, &type)) return false;
+  // (2) Under the claim, `from` must still hold the object, and state that
+  // crosses a process boundary needs a registered codec.
+  auto obj = at(from).get_object(id);
+  const bool same_process = localities_[to] != nullptr;
   const parcel::migratable_registry::vtable* vt =
-      type.has_value() ? parcel::migratable_registry::global().find(*type)
-                       : nullptr;
-  if (obj == nullptr || vt == nullptr) {
-    std::lock_guard lock(migrating_lock_);
-    migrating_.erase(id);
+      same_process ? nullptr
+                   : parcel::migratable_registry::global().find(type);
+  if (obj == nullptr || (!same_process && vt == nullptr)) {
+    release_migration(id, false);
     return false;
   }
+  // (5) Retire the source copy, then (6) release the claim and report.
+  auto retire = [this, id, from, to, same_process,
+                 done = std::move(done)] {
+    at(from).erase_object(id);
+    if (!same_process) {
+      agas_.note_owner(rank_, id, to);
+      if (trace::enabled()) {
+        trace::emit_here(trace::event_kind::migrate_end, id.bits(),
+                         static_cast<std::uint32_t>(to));
+      }
+    }
+    release_migration(id, !same_process);
+    if (done) done(true);
+  };
+  if (same_process) {
+    // (3) Implant, (4) rebind: a parcel racing the move finds the object
+    // wherever its resolution lands it (old owner until the directory
+    // flips, new owner afterwards).
+    at(to).put_object(id, std::move(obj));
+    agas_.migrate(id, to);
+    retire();
+    return true;
+  }
+  // (3) Ship the record; (4) the destination flips the home directory
+  // before it acks, and the ack sink (plain, on the delivery thread, so
+  // non-blocking) retires our copy.
   parcel::migration_record rec;
   rec.gid_bits = id.bits();
-  rec.type_name = *type;
+  rec.type_name = std::move(type);
   rec.payload = vt->encode(obj);
   if (trace::enabled()) {
     trace::emit_here(trace::event_kind::migrate_begin, id.bits(),
                      static_cast<std::uint32_t>(to));
   }
-  // The ack continuation is a plain sink: its fire closure runs on the
-  // delivery thread and does only non-blocking work (same retire sequence
-  // as the blocking path).
   const gas::gid sink = here().register_sink(
-      [this, id, to, done = std::move(done)](parcel::parcel) {
-        here().erase_object(id);
-        {
-          // Retire the type tag with the copy: the destination re-tagged
-          // on implant, and keeping ours would grow mig_types_ (and the
-          // rebalancer's residency scans) with every object that ever
-          // passed through this rank.
-          std::lock_guard lock(mig_types_lock_);
-          mig_types_.erase(id);
-        }
-        agas_.note_owner(rank_, id, to);
-        {
-          std::lock_guard lock(migrating_lock_);
-          migrating_.erase(id);
-        }
-        if (trace::enabled()) {
-          trace::emit_here(trace::event_kind::migrate_end, id.bits(),
-                           static_cast<std::uint32_t>(to));
-        }
-        if (done) done(true);
-      });
+      [retire = std::move(retire)](parcel::parcel) { retire(); });
   apply_cont_from<&migrate_implant_action>(
       here(), locality_gid(to),
       parcel::continuation{sink, sink_action_id()}, rec);
@@ -1380,15 +1351,14 @@ std::string action_table_snapshot() {
 
 using wire_tuple =
     std::tuple<std::uint64_t, std::uint32_t, std::uint8_t, std::uint8_t,
-               std::uint8_t, std::uint8_t, std::uint8_t, std::uint8_t,
-               std::string>;
+               std::uint8_t, std::uint8_t, std::uint8_t, std::string>;
 
 }  // namespace
 
 // Wire-relevant knobs every rank must agree on: ranks coalescing with
 // different flush thresholds, dropping at different forward bounds, or
-// disagreeing on whether objects may leave their home rank would behave
-// "the same program, different machine".  Rank 0's resolved values (and
+// disagreeing on whether the rebalancer moves objects would behave "the
+// same program, different machine".  Rank 0's resolved values (and
 // its action table, for verification) ride the bootstrap table reply.
 std::vector<std::byte> runtime::encode_wire_params() const {
   return util::to_bytes(wire_tuple(
@@ -1396,7 +1366,6 @@ std::vector<std::byte> runtime::encode_wire_params() const {
       params_.parcel_flush_count,
       static_cast<std::uint8_t>(params_.max_forwards),
       static_cast<std::uint8_t>(eager_flush_ ? 1 : 0),
-      static_cast<std::uint8_t>(params_.net.migration != 0 ? 1 : 0),
       static_cast<std::uint8_t>(params_.rebalance != 0 ? 1 : 0),
       static_cast<std::uint8_t>(params_.trace != 0 ? 1 : 0),
       static_cast<std::uint8_t>(params_.stats != 0 ? 1 : 0),
@@ -1409,14 +1378,13 @@ void runtime::apply_wire_params(std::span<const std::byte> blob) {
   params_.parcel_flush_count = std::get<1>(t);
   params_.max_forwards = std::get<2>(t);
   eager_flush_ = std::get<3>(t) != 0;
-  params_.net.migration = std::get<4>(t);
-  params_.rebalance = std::get<5>(t);
+  params_.rebalance = std::get<4>(t);
   // Tracing and stats are machine-wide or not at all: the clock-sync
   // collective and the per-parcel wire extensions all assume every rank
   // agrees.
-  params_.trace = std::get<6>(t);
-  params_.stats = std::get<7>(t);
-  PX_ASSERT_MSG(std::get<8>(t) == action_table_snapshot(),
+  params_.trace = std::get<5>(t);
+  params_.stats = std::get<6>(t);
+  PX_ASSERT_MSG(std::get<7>(t) == action_table_snapshot(),
                 "ranks disagree on the registered action table — all ranks "
                 "must run the same binary, and actions used cross-process "
                 "must be registered eagerly (PX_REGISTER_ACTION)");

@@ -17,10 +17,12 @@
 //     with a net::bootstrap control plane.  localities_ is sparse
 //     (only this rank's slot is populated; at() on a remote id asserts),
 //     the AGAS directory shard for a gid lives in its *home rank's*
-//     process, and — since PR 5 — objects genuinely migrate between
-//     processes: migrate_gid() ships a registered-migratable object's
-//     state (parcel::migration_record) to the destination, which implants
-//     it, flips the home directory, and acks before the source retires its
+//     process, and objects genuinely migrate between processes.  One
+//     handoff (migrate_gid_async; migrate_gid is its blocking wrapper)
+//     serves both shapes: within a process it moves the shared_ptr,
+//     across processes it ships a registered-migratable object's state
+//     (parcel::migration_record) to the destination, which implants it,
+//     flips the home directory, and acks before the source retires its
 //     copy; parcels routed on stale knowledge heal through bounded home
 //     forwarding with piggybacked owner hints (gas/resolve.hpp), and the
 //     rebalancer issues cross-process migrations fed by cross-rank
@@ -43,7 +45,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -167,11 +168,6 @@ class runtime {
   gas::locality_id rank() const noexcept { return rank_; }
   // The locality this process hosts (rank in distributed mode, 0 here).
   locality& here() { return at(rank_); }
-  // Whether cross-process object migration (and the owner-hint forwarding
-  // protocol that serves it) is live.  Always false single-process —
-  // in-process migration needs no wire protocol; PX_MIGRATION=0 restores
-  // PR 4's static home-owned behavior on the tcp backend.
-  bool migration_enabled() const noexcept { return migration_enabled_; }
 
   gas::agas& gas() noexcept { return agas_; }
   gas::name_service& names() noexcept { return names_; }
@@ -194,16 +190,6 @@ class runtime {
     return *monitors_.at(id);
   }
   rebalancer& balancer() noexcept { return *balancer_; }
-
-  // Untyped control-plane migration used by the rebalancer: moves the
-  // object's table entry (implant at destination, then AGAS rebind, then
-  // erase at source — the object is continuously resolvable and present at
-  // whichever locality a racing parcel lands on).  Returns false when the
-  // object vanished or no longer lives at `from` (a stale heat entry for
-  // an object that already migrated away must not be yanked off an
-  // innocent locality).
-  bool rebalance_migrate(gas::gid id, gas::locality_id from,
-                         gas::locality_id to);
 
   // The typed hardware gid naming locality `id` (paper: hardware resources
   // are first-class named entities).
@@ -288,11 +274,6 @@ class runtime {
     return std::static_pointer_cast<T>(at(where).get_object(id));
   }
 
-  // Moves a serializable object to `to`, updating AGAS.  Parcels routed on
-  // stale caches are forwarded by the delivery path.
-  template <typename T>
-  void migrate_object(gas::gid id, gas::locality_id to);
-
   // Like new_object, but tags the gid with T's registered migratable type
   // (PX_REGISTER_MIGRATABLE), making it eligible for *cross-process*
   // migration (migrate_gid / the distributed rebalancer).  Untagged
@@ -304,41 +285,34 @@ class runtime {
     return id;
   }
 
-  // Moves object `id` to rank/locality `to`, by gid alone.  Single-process
-  // this is the untyped control-plane move (shared_ptr handoff).
-  // Distributed it is the px.migrate_object two-phase handoff: serialize
-  // the payload, implant at `to`, flip the home directory (home-mediated
-  // when home != to), then — only after the acknowledgment LCO fires —
-  // retire the source copy, so a racing parcel always finds the object
-  // wherever its resolution lands it.  Must run on a ParalleX thread of
-  // the owning rank in distributed mode (it blocks on the ack).  Returns
-  // false when the object is missing here, not data-kind, not tagged
-  // migratable (cross-process), or already mid-migration.
-  //
-  // Coherence caveat (documented, not checked): between implant and
-  // retire both ranks hold a copy and each dispatches the parcels that
-  // land on it, so an object whose *state* is mutated by actions should be
-  // quiescent while it migrates.  Delivery stays exactly-once per parcel
-  // throughout.
+  // The one migration handoff, on every deployment shape: moves object
+  // `id` from locality `from` to `to`.  Claims the gid in the per-gid
+  // table, checks under the claim that `from` still holds the object,
+  // transfers it, updates the directory, retires the source copy, then
+  // releases the claim and fires `done(true)`.  Within a process the
+  // shared_ptr moves (mutable state never forks, untagged objects move
+  // too) and `done` fires before the call returns.  Across processes
+  // (`from` must be this rank) the px.migrate_object record ships the
+  // state and `done` fires on the delivery thread once the ack retires the
+  // source copy; the call never blocks, because the rebalancer acts from
+  // the transport progress thread.  Returns false, and never calls `done`,
+  // when the gid is not data-kind, is already mid-migration (rejected, not
+  // queued), is no longer resident at `from` (a stale heat entry), or
+  // would cross processes without a registered migratable type.
+  // docs/agas.md has the protocol and its coherence caveat.
+  bool migrate_gid_async(gas::gid id, gas::locality_id from,
+                         gas::locality_id to, std::function<void(bool)> done);
+
+  // Blocking wrapper: `from` is the object's authoritative owner
+  // in-process and this rank when distributed; waits for the handoff's
+  // ack.  True when the object ends up at `to` (already there included).
   bool migrate_gid(gas::gid id, gas::locality_id to);
 
-  // Non-blocking form of the distributed handoff, for callers that cannot
-  // suspend (the rebalancer acts from the transport progress thread, where
-  // a fiber could starve behind the very backlog it is trying to shed).
-  // Returns true when the handoff was *issued* — the synchronous checks
-  // (data-kind, tagged migratable, present here, not already mid-flight)
-  // passed and the px.migrate_object parcel is on its way; `done(true)`
-  // then fires exactly once on the delivery thread after the ack retires
-  // the source copy.  Returns false (and never calls `done`) when the
-  // synchronous checks fail.
-  bool migrate_gid_async(gas::gid id, gas::locality_id to,
-                         std::function<void(bool)> done);
-
-  // Records/queries the migratable type name a gid was created under
+  // Records the migratable type name a gid was created under
   // (new_migratable tags at creation; cross-process implants re-tag at the
-  // destination so onward migrations keep working).
+  // destination so onward migrations keep working, and the source forgets
+  // the tag when it retires its copy).
   void tag_migratable_object(gas::gid id, std::string type_name);
-  std::optional<std::string> migration_type_of(gas::gid id) const;
 
   // Up to `max` migratable-tagged gids currently resident at this rank's
   // locality.  The rebalancer's fallback candidate source: a latency-bound
@@ -438,20 +412,20 @@ class runtime {
   // Per-process credit ledgers for this rank (process_sites()).
   process_site_table psites_;
 
-  // Serializes object migrations: a rebalancer round racing a user
-  // migrate_object on the same gid could otherwise implant a stale
-  // pointer over the other's move.  Migration is control-plane rare, so
-  // one lock for all of them is fine.
-  util::spinlock migrate_lock_;
-
-  // Cross-process migration bookkeeping: which gids carry a registered
-  // migratable type (gid -> type name), and which are mid-handoff (the
-  // blocking migrate_gid protocol cannot hold a spinlock across its
-  // suspension points, so in-flight gids are claimed in a set instead).
-  mutable util::spinlock mig_types_lock_;
-  std::unordered_map<gas::gid, std::string> mig_types_;
-  util::spinlock migrating_lock_;
-  std::unordered_set<gas::gid> migrating_;
+  // The per-gid migration table, one lock: which gids carry a registered
+  // migratable type, and which are mid-handoff.  An entry with neither is
+  // erased.  claim_migration marks a gid in flight (false when it already
+  // is) and reports its type ("" when untagged); release_migration ends
+  // the claim, and `retire` also forgets the type (the copy left this
+  // process).
+  struct migration_entry {
+    std::string type;
+    bool in_flight = false;
+  };
+  bool claim_migration(gas::gid id, std::string* type);
+  void release_migration(gas::gid id, bool retire);
+  mutable util::spinlock migrations_lock_;
+  std::unordered_map<gas::gid, migration_entry> migrations_;
 
   // Flight-recorder bookkeeping: the boot-time counter snapshot the dump
   // trailer deltas against, and this rank's steady-clock offset from rank
@@ -479,29 +453,9 @@ class runtime {
   std::atomic<std::uint64_t> gids_lost_{0};
 
   bool eager_flush_ = true;  // resolved from params/env in the ctor
-  bool migration_enabled_ = false;  // cross-process protocol (tcp only)
   bool distributed_ = false;
   gas::locality_id rank_ = 0;  // this process's locality (0 when sim)
   bool started_ = false;
 };
-
-template <typename T>
-void runtime::migrate_object(gas::gid id, gas::locality_id to) {
-  // Synchronous control-plane migration.  Same implant-rebind-erase order
-  // as rebalance_migrate: a parcel racing the move always finds the object
-  // present wherever its resolution lands it.  Data-plane traffic routed
-  // on stale caches is healed by delivery-path forwarding; concurrent
-  // *migrations* of the same object are serialized by migrate_lock_.
-  std::lock_guard migration(migrate_lock_);
-  const auto resolved = agas_.resolve_authoritative(to, id);
-  PX_ASSERT_MSG(resolved.has_value(), "migrate of unbound gid");
-  const gas::locality_id owner = *resolved;
-  if (owner == to) return;
-  auto obj = std::static_pointer_cast<T>(at(owner).get_object(id));
-  PX_ASSERT_MSG(obj != nullptr, "migrate: object not at resolved owner");
-  at(to).put_object(id, std::move(obj));
-  agas_.migrate(id, to);
-  at(owner).erase_object(id);
-}
 
 }  // namespace px::core

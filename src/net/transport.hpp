@@ -51,19 +51,12 @@ using endpoint_id = std::uint32_t;
 //   ranks     0   -> PX_NET_RANKS                 total processes (tcp/shm)
 //   listen    ""  -> PX_NET_LISTEN  -> "127.0.0.1:0"   data-plane bind (tcp)
 //   root      ""  -> PX_NET_ROOT    -> "127.0.0.1:7733" rank 0 control addr
-//   migration -1  -> PX_MIGRATION   -> 1 (on)     cross-process AGAS moves
 struct net_params {
   std::string backend;
   std::int64_t rank = -1;
   std::int64_t ranks = 0;
   std::string listen;
   std::string root;
-  // Cross-process object migration (tcp/shm backends): tri-state so "unset"
-  // resolves from the environment.  Rank 0's resolved value rides the
-  // bootstrap wire-params blob — migration changes how *every* rank routes
-  // and forwards, so the machine must agree.  0 restores PR 4's static
-  // home-owned PGAS behavior.
-  std::int64_t migration = -1;
 };
 
 struct message {

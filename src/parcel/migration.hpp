@@ -1,10 +1,10 @@
 // Migration payload records: object state on the wire.
 //
-// In-process migration (PR 3's rebalancer, runtime::migrate_object<T>)
-// moves a shared_ptr between locality tables — the bytes never move.  A
-// *cross-process* migration has to ship the object's state through the
-// same PR 2 frame pipeline every parcel rides, which needs two things the
-// type-erased object table cannot provide:
+// Within one process, runtime::migrate_gid_async moves a shared_ptr
+// between locality tables — the bytes never move.  A *cross-process*
+// migration has to ship the object's state through the same PR 2 frame
+// pipeline every parcel rides, which needs two things the type-erased
+// object table cannot provide:
 //
 //   * a wire encoding of the object's state (`migration_record`), and
 //   * a way for the receiving process to reconstruct the object from those

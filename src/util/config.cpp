@@ -119,7 +119,6 @@ std::vector<knob_info> config::known_knobs() {
       knob("net.ranks", "total rank count (tcp/shm, required)"),
       knob("net.listen", "data-plane bind address (tcp only)"),
       knob("net.root", "rank 0 bootstrap listen address (tcp/shm)"),
-      knob("migration", "cross-process object migration on/off (tcp/shm)"),
       knob("heartbeat.interval_us",
            "control-plane heartbeat cadence (tcp/shm)"),
       knob("lease.ms", "failure lease: a rank silent this long is dead"),

@@ -186,7 +186,7 @@ TEST(Runtime, ParcelsFollowMigratedObjects) {
 
   // Warm locality 1's AGAS cache, then migrate away and send again from
   // locality 1: the parcel lands on the stale owner and must be forwarded.
-  rt.migrate_object<counter_object>(obj, 2);
+  EXPECT_TRUE(rt.migrate_gid(obj, 2));
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   auto moved = rt.get_local<counter_object>(2, obj);
   ASSERT_NE(moved, nullptr);
@@ -246,8 +246,8 @@ TEST(Runtime, MigrationUnderLoadNeverWedgesOrCrashes) {
     for (int i = 0; i < kParcels; ++i) {
       core::apply<&chase_counter>(obj, obj.bits());
       if (i % 25 == 24) {
-        rt.migrate_object<counter_object>(
-            obj, static_cast<gas::locality_id>((i / 25) % 3));
+        EXPECT_TRUE(
+            rt.migrate_gid(obj, static_cast<gas::locality_id>((i / 25) % 3)));
       }
     }
   });
@@ -355,7 +355,7 @@ TEST(Runtime, StaleCacheForwardingDelivers) {
   // Populate locality 0's cache with owner=1.
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   // Move to 2; locality 0 still believes 1.
-  rt.migrate_object<counter_object>(obj, 2);
+  EXPECT_TRUE(rt.migrate_gid(obj, 2));
   auto cached = rt.gas().resolve(0, obj);
   ASSERT_TRUE(cached.has_value());
 
@@ -363,6 +363,65 @@ TEST(Runtime, StaleCacheForwardingDelivers) {
   EXPECT_EQ(rt.get_local<counter_object>(2, obj)->hits.load(), 2);
   // The forward refreshed the authoritative route.
   EXPECT_EQ(rt.gas().resolve_authoritative(0, obj).value(), 2u);
+}
+
+TEST(Runtime, ConcurrentMigrationsOfOneGidLeaveOneCopy) {
+  // Two fibers on different localities hand the same object off locality 0
+  // at once, each toward its own destination.  The per-gid claim admits
+  // one; the other is rejected (the claim is held, or the object has
+  // already left 0) and never fires its `done`.  Repeated so that the two
+  // calls really overlap in some trials.
+  runtime rt(quick_params(3, 2));
+  rt.start();
+  for (int trial = 0; trial < 200; ++trial) {
+    const gas::gid obj = rt.new_object<counter_object>(0);
+    std::atomic<int> ready{0};
+    std::atomic<int> dones{0};
+    std::atomic<int> accepted[3] = {-1, -1, -1};
+    for (const gas::locality_id to : {1u, 2u}) {
+      rt.at(to).spawn([&, to] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        const bool ok = rt.migrate_gid_async(obj, 0, to, [&](bool moved) {
+          if (moved) dones.fetch_add(1);
+        });
+        accepted[to].store(ok ? 1 : 0);
+      });
+    }
+    rt.wait_quiescent();
+    ASSERT_EQ(accepted[1].load() + accepted[2].load(), 1) << "trial " << trial;
+    const gas::locality_id winner = accepted[1].load() == 1 ? 1 : 2;
+    const gas::locality_id loser = 3 - winner;
+    ASSERT_EQ(dones.load(), 1) << "trial " << trial;
+    ASSERT_TRUE(rt.at(winner).has_object(obj)) << "trial " << trial;
+    ASSERT_FALSE(rt.at(loser).has_object(obj)) << "trial " << trial;
+    ASSERT_FALSE(rt.at(0).has_object(obj)) << "trial " << trial;
+    ASSERT_EQ(rt.gas().resolve_authoritative(0, obj).value(), winner)
+        << "trial " << trial;
+  }
+  rt.stop();
+}
+
+TEST(Runtime, MigrationFromAStaleSourceIsRejected) {
+  runtime rt(quick_params(3));
+  rt.start();
+  const gas::gid obj = rt.new_object<counter_object>(0);
+  ASSERT_TRUE(rt.migrate_gid(obj, 1));
+
+  // A stale heat entry still names locality 0 as the source: the handoff
+  // must not touch the object at its real owner.
+  bool called = false;
+  EXPECT_FALSE(rt.migrate_gid_async(obj, 0, 2, [&](bool) { called = true; }));
+  EXPECT_FALSE(called);
+  EXPECT_TRUE(rt.at(1).has_object(obj));
+  EXPECT_FALSE(rt.at(2).has_object(obj));
+  EXPECT_EQ(rt.gas().resolve_authoritative(0, obj).value(), 1u);
+  // The rejection released its claim: a move from the real owner works.
+  EXPECT_TRUE(rt.migrate_gid_async(obj, 1, 2, [&](bool) { called = true; }));
+  EXPECT_TRUE(called);
+  EXPECT_TRUE(rt.at(2).has_object(obj));
+  rt.stop();
 }
 
 // ---------------------------------------------------------------- process
