@@ -62,13 +62,14 @@ parcel_enqueue_result parcel_port::enqueue(net::endpoint_id dest,
   if (shipped_count > 0) {
     res.shipped = true;
     threshold_flushes_.fetch_add(1, std::memory_order_relaxed);
-    ship(std::move(to_ship), shipped_count, dest);
+    ship(std::move(to_ship), shipped_count, dest, /*batch=*/true);
   }
   return res;
 }
 
 void parcel_port::flush_counted(net::endpoint_id dest,
-                                std::atomic<std::uint64_t>& counter) {
+                                std::atomic<std::uint64_t>& counter,
+                                bool batch) {
   PX_ASSERT(dest < channels_.size());
   std::vector<std::byte> to_ship;
   std::uint32_t shipped_count = 0;
@@ -79,15 +80,15 @@ void parcel_port::flush_counted(net::endpoint_id dest,
     shipped_count = take_frame(ch, to_ship);
   }
   counter.fetch_add(1, std::memory_order_relaxed);
-  ship(std::move(to_ship), shipped_count, dest);
+  ship(std::move(to_ship), shipped_count, dest, batch);
 }
 
 void parcel_port::flush(net::endpoint_id dest) {
-  flush_counted(dest, demand_flushes_);
+  flush_counted(dest, demand_flushes_, /*batch=*/true);
 }
 
 void parcel_port::flush_eager(net::endpoint_id dest) {
-  flush_counted(dest, eager_flushes_);
+  flush_counted(dest, eager_flushes_, /*batch=*/false);
 }
 
 void parcel_port::flush_all() {
@@ -98,12 +99,13 @@ void parcel_port::flush_all() {
 }
 
 void parcel_port::ship(std::vector<std::byte> frame, std::uint32_t count,
-                       net::endpoint_id dest) {
+                       net::endpoint_id dest, bool batch) {
   net::message m;
   m.source = self_;
   m.dest = dest;
   m.units = count;
   m.payload = std::move(frame);
+  m.batch = batch;
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   if (trace::enabled()) {
     trace::emit_here(trace::event_kind::wire_tx, m.payload.size(),

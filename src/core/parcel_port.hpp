@@ -77,6 +77,8 @@ class parcel_port {
   void flush_all();
 
   // flush(dest) accounted as a first-parcel eager flush (latency path).
+  // Its frame is the only one shipped without net::message::batch, which
+  // tells tcp to write it from this thread instead of its progress thread.
   void flush_eager(net::endpoint_id dest);
 
   // Parcels coalesced but not yet handed to the fabric.
@@ -107,9 +109,9 @@ class parcel_port {
                                   std::vector<std::byte>& out);
 
   void ship(std::vector<std::byte> frame, std::uint32_t count,
-            net::endpoint_id dest);
+            net::endpoint_id dest, bool batch);
   void flush_counted(net::endpoint_id dest,
-                     std::atomic<std::uint64_t>& counter);
+                     std::atomic<std::uint64_t>& counter, bool batch);
 
   net::transport& transport_;
   net::endpoint_id self_;

@@ -519,10 +519,10 @@ void runtime::register_counters() {
     reg.add(lid, p + "/stats/ticks", [st] { return st->ticks(); });
     reg.add(lid, p + "/stats/dropped_points",
             [st] { return st->dropped_points(); });
-    // Backend-specific rows (tcp: reconnects; shm: ring_full_waits,
-    // wakeups; sim: none) — registered only when the active backend
-    // actually maintains them, so the schema never carries an
-    // always-zero row for a counter the backend cannot produce.
+    // Backend-specific rows (tcp: reconnects, direct_sends; shm:
+    // ring_full_waits, wakeups; sim: none) — registered only when the
+    // active backend actually maintains them, so the schema never carries
+    // an always-zero row for a counter the backend cannot produce.
     const auto extras = t->extra_link_counters(ep);
     for (std::size_t k = 0; k < extras.size(); ++k) {
       reg.add(lid, p + "/net/" + extras[k].name,

@@ -23,6 +23,25 @@ constexpr std::size_t kHelloBytes = 8;
 // poll(2) granularity is 1ms, still far below the quiescence timescale.
 constexpr int kPollTimeoutMs = 1;
 
+// Writes `buf` from byte `off` to the nonblocking `fd` until done, EAGAIN
+// or an error; returns the new offset, with errno telling which when it
+// falls short.
+std::size_t write_from(int fd, const std::vector<std::byte>& buf,
+                       std::size_t off) {
+  while (off < buf.size()) {
+    const ssize_t n =
+        ::send(fd, buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  return off;
+}
+
 }  // namespace
 
 tcp_transport::tcp_transport(tcp_params params) : params_(params) {
@@ -161,15 +180,35 @@ void tcp_transport::send(message m) {
 
   peer& p = *peers_[m.dest];
   bool dropped = false;
+  bool written = false;
   {
     std::lock_guard lock(p.send_lock);
-    if (p.open || !progress_.joinable()) {
+    if (p.open && !m.batch && p.sendq.empty()) {
+      // Direct write: an isolated frame with nothing queued ahead of it
+      // goes into the socket from this thread, sparing the progress
+      // thread's wake-up.  The lock keeps byte order (pump_sends writes
+      // only while its frame is queued) and the fd alive (close_peer
+      // clears `open` under it before closing).
+      const std::size_t n = write_from(p.fd, m.payload, 0);
+      written = n == m.payload.size();
+      if (!written) {
+        // Partial write, EAGAIN or error: the progress thread finishes
+        // the frame or meets the same error and closes the link.
+        p.sendq.push_back(outgoing{std::move(m.payload), n, units});
+      }
+    } else if (p.open || !progress_.joinable()) {
       // Queued before the mesh is up only in tests driving the transport
       // directly; the runtime's bootstrap barrier forbids it.
       p.sendq.push_back(outgoing{std::move(m.payload), 0, units});
     } else {
       dropped = true;
     }
+  }
+  if (written) {
+    direct_sends_.fetch_add(1, std::memory_order_relaxed);
+    pool_.release(std::move(m.payload));
+    retire_in_flight(units);
+    return;
   }
   if (dropped) {
     // A dead link mid-run: drop (with the drop recorded so the quiescence
@@ -198,16 +237,9 @@ bool tcp_transport::pump_sends(peer& p) {
       if (p.sendq.empty()) return true;
       front = &p.sendq.front();  // deque: push_back never moves the front
     }
-    while (front->offset < front->buf.size()) {
-      const ssize_t n =
-          ::send(p.fd, front->buf.data() + front->offset,
-                 front->buf.size() - front->offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        front->offset += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      if (n < 0 && errno == EINTR) continue;
+    front->offset = write_from(p.fd, front->buf, front->offset);
+    if (front->offset < front->buf.size()) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       const bool expected = stopping_.load(std::memory_order_acquire) ||
                             disconnects_expected();
       close_peer(p, expected ? nullptr : "send error");
@@ -306,8 +338,8 @@ void tcp_transport::close_peer(peer& p, const char* why) {
 }
 
 void tcp_transport::close_link(std::size_t rank) {
-  // External death verdict: the progress thread owns the sockets, so just
-  // flag the rank and kick the poll loop.
+  // External death verdict: every close runs on the progress thread, so
+  // just flag the rank and kick the poll loop.
   pending_dead_.fetch_or(1ull << rank, std::memory_order_acq_rel);
   wake_progress();
 }
@@ -322,7 +354,7 @@ void tcp_transport::progress_loop() {
       return;  // every accepted parcel reached the kernel: graceful drain
     }
     // External death verdicts (mark_peer_dead) land here so every
-    // socket close runs on the thread that owns the sockets.
+    // socket close runs on the progress thread.
     if (const std::uint64_t doomed =
             pending_dead_.exchange(0, std::memory_order_acq_rel)) {
       for (std::size_t r = 0; r < peers_.size(); ++r) {
@@ -410,6 +442,7 @@ std::vector<extra_link_counter> tcp_transport::extra_link_counters(
     reconnects += p->reconnects.load(std::memory_order_relaxed);
   }
   return {{"reconnects", reconnects},
+          {"direct_sends", direct_sends_.load(std::memory_order_relaxed)},
           {"peer_failed", peers_failed_total()},
           {"parcels_lost", parcels_lost_total()}};
 }

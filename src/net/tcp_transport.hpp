@@ -6,11 +6,16 @@
 // raw frames with no extra envelope: the connection identifies the peer
 // (fixed at the hello handshake), `frame_assembler` cuts complete frames
 // out of the byte stream across arbitrary partial reads, and frame count
-// == message units.  A nonblocking poll(2) progress thread owns every
-// socket: it reassembles inbound frames and feeds them to the registered
-// handler (the runtime's deliver_from_fabric path, same as the simulated
-// fabric) and drains per-peer send queues whose buffers recycle through
-// the shared util::buffer_pool.
+// == message units.  A nonblocking poll(2) progress thread does every
+// read and every close: it reassembles inbound frames and feeds them to
+// the registered handler (the runtime's deliver_from_fabric path, same as
+// the simulated fabric).  Writes take one of two paths, never both at
+// once for one peer.  An isolated frame (message::batch unset) to a peer
+// whose send queue is empty is written by the sending thread itself,
+// under the peer's send_lock, as shm writes its ring.  Everything else,
+// and any remainder the kernel did not take, waits in the send queue for
+// the progress thread, which writes only the queue's front.  Buffers
+// recycle through the shared util::buffer_pool either way.
 //
 // In-flight semantics (quiescence): in_flight() counts units accepted by
 // send() whose bytes have not yet fully reached the kernel.  Once written,
@@ -91,7 +96,8 @@ class tcp_transport final : public distributed_transport {
   endpoint_stats stats(endpoint_id ep) const override;
   link_counters link(endpoint_id ep) const override;
   const char* backend_name() const noexcept override { return "tcp"; }
-  // One TCP-specific row: extra dial attempts while the mesh came up.
+  // TCP-specific rows: extra dial attempts while the mesh came up, and
+  // frames the sending thread wrote into the socket itself.
   std::vector<extra_link_counter> extra_link_counters(
       endpoint_id ep) const override;
 
@@ -126,7 +132,9 @@ class tcp_transport final : public distributed_transport {
   struct peer {
     int fd = -1;
     std::uint32_t rank = 0;
-    bool open = false;           // owned by the progress thread after start
+    // Written only by the progress thread (under send_lock) after start;
+    // senders read it under send_lock before any direct write to `fd`.
+    bool open = false;
     util::spinlock send_lock;
     std::deque<outgoing> sendq;  // guarded by send_lock
     parcel::frame_assembler assembler;  // progress thread only
@@ -168,6 +176,7 @@ class tcp_transport final : public distributed_transport {
   std::atomic<std::uint64_t> sent_total_{0};
   std::atomic<std::uint64_t> received_total_{0};
   std::atomic<std::uint64_t> dropped_total_{0};
+  std::atomic<std::uint64_t> direct_sends_{0};  // frames send() wrote itself
 
   // Aggregate tx/rx books for stats()/link() (this rank's endpoint only).
   std::atomic<std::uint64_t> msgs_tx_{0};

@@ -65,6 +65,11 @@ struct message {
   std::uint64_t tag = 0;  // channel discriminator for the CSP baseline
   std::vector<std::byte> payload;
   std::uint32_t units = 1;  // logical parcels carried (1 for plain traffic)
+  // Set by the parcel port on coalesced frames (threshold, idle or demand
+  // flush): more traffic is likely close behind, so tcp leaves the write
+  // to its progress thread.  An unset frame is isolated, and tcp writes it
+  // from the sending thread.  shm and sim ignore it.
+  bool batch = false;
 };
 
 struct endpoint_stats {

@@ -1,18 +1,23 @@
 // Unit tests for the shared-memory data plane: the whole-frame delivery
 // seam (frame_assembler bypass + frame_view::parse poison path), the
 // shm_segment RAII lifetime, and two in-process shm_transport instances
-// exercising the ring/doorbell protocol end to end.
+// exercising the ring/doorbell protocol end to end.  Two in-process
+// tcp_transport instances cover tcp's direct send, the other path where
+// the sending thread writes the wire itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "net/shm_transport.hpp"
@@ -336,6 +341,252 @@ TEST(Shm, ManySmallFramesFlowThroughRingWrap) {
 
   pair.a->expect_peer_disconnects();
   pair.b->expect_peer_disconnects();
+}
+
+// ------------------------------------------ two-instance tcp direct send
+
+struct tcp_pair {
+  std::unique_ptr<net::tcp_transport> a;  // rank 0
+  std::unique_ptr<net::tcp_transport> b;  // rank 1
+
+  tcp_pair() {
+    net::tcp_params p;
+    p.nranks = 2;
+    p.rank = 0;
+    a = std::make_unique<net::tcp_transport>(p);
+    p.rank = 1;
+    b = std::make_unique<net::tcp_transport>(p);
+  }
+
+  // Rank 0 accepts while rank 1 dials, so the pair connects from two
+  // threads.
+  void connect() {
+    const std::vector<std::string> table = {a->listen_address(),
+                                            b->listen_address()};
+    std::thread ta([&] { a->connect_peers(table); });
+    b->connect_peers(table);
+    ta.join();
+  }
+
+  ~tcp_pair() {
+    a->expect_peer_disconnects();
+    b->expect_peer_disconnects();
+  }
+};
+
+std::uint64_t direct_sends(const net::tcp_transport& t) {
+  for (const auto& c : t.extra_link_counters(t.params().rank)) {
+    if (std::strcmp(c.name, "direct_sends") == 0) return c.value;
+  }
+  ADD_FAILURE() << "tcp has no direct_sends row";
+  return 0;
+}
+
+// A frame of `records` parcels whose action names its sender and sequence
+// number and whose arguments are `arg_bytes` of a pattern derived from
+// both, so the receiver can check order and bytes.
+std::vector<std::byte> seq_frame(std::uint32_t sender, std::uint32_t seq,
+                                 std::size_t arg_bytes, int records = 1) {
+  std::vector<std::byte> buf;
+  parcel::frame_begin(buf);
+  for (int r = 0; r < records; ++r) {
+    parcel::parcel p;
+    p.destination = gas::gid::make(gas::gid_kind::data, 1, 7);
+    p.action = sender << 24 | seq;
+    p.arguments.resize(arg_bytes);
+    for (std::size_t i = 0; i < arg_bytes; ++i) {
+      p.arguments[i] = static_cast<std::byte>(sender * 131 + seq + i + r);
+    }
+    p.source = 0;
+    parcel::frame_append(buf, p);
+  }
+  return buf;
+}
+
+net::message to_peer(std::vector<std::byte> frame, std::uint32_t units,
+                     bool batch) {
+  net::message m;
+  m.source = 0;
+  m.dest = 1;
+  m.units = units;
+  m.batch = batch;
+  m.payload = std::move(frame);
+  return m;
+}
+
+TEST(TcpDirectSend, BacklogAndDirectFramesKeepEachSendersOrder) {
+  tcp_pair pair;
+  std::atomic<bool> gate{false};
+  std::vector<std::vector<std::byte>> got;  // progress thread, then main
+  std::atomic<std::uint64_t> got_units{0};
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [&](net::message& m) {
+    // A closed gate stops the reads, so the sender's socket buffer fills
+    // and the batch frames pile up in its send queue.
+    while (!gate.load()) std::this_thread::sleep_for(1ms);
+    got.push_back(m.payload);
+    got_units.fetch_add(m.units);
+  });
+  pair.connect();
+
+  // Batch sender: 16 MiB.  With reads stopped, loopback's socket buffers
+  // (send buffer up to tcp_wmem's 4 MiB, receive buffer barely grown)
+  // take a fraction; the rest waits in the send queue until the gate
+  // opens.
+  constexpr std::uint32_t kBatchFrames = 64;
+  constexpr std::size_t kBatchBytes = 256u << 10;
+  std::atomic<std::uint64_t> backlog{0};  // units queued at kQueuedFrom
+  // Isolated sender: 2-parcel frames, in four phases: [0, 100) while the
+  // batch frames queue; [100, 150) behind a certain backlog, so each is
+  // queued; [150, 400) while the backlog drains; [400, 410) on a quiet
+  // link, so each is a direct write.
+  constexpr std::uint32_t kQueuedFrom = 100, kOpenAt = 150, kQuietAt = 400,
+                          kDirectFrames = 410;
+  std::atomic<bool> batch_done{false};
+  std::atomic<bool> open_gate{false};
+
+  std::thread batcher([&] {
+    for (std::uint32_t i = 0; i < kBatchFrames; ++i) {
+      pair.a->send(to_peer(seq_frame(1, i, kBatchBytes), 1, true));
+    }
+    batch_done.store(true);
+  });
+  std::thread isolated([&] {
+    for (std::uint32_t i = 0; i < kDirectFrames; ++i) {
+      // Bounded waits: a broken link fails the checks below, not by hanging.
+      if (i == kQueuedFrom) {
+        eventually([&] { return batch_done.load(); });
+        backlog.store(pair.a->in_flight());
+      }
+      if (i == kOpenAt) open_gate.store(true);
+      if (i == kQuietAt) {
+        eventually([&] {
+          return got_units.load() >= kBatchFrames + 2 * kQuietAt;
+        });
+      }
+      pair.a->send(to_peer(seq_frame(2, i, 64, 2), 2, false));
+      std::this_thread::sleep_for(20us);
+    }
+  });
+  eventually([&] { return open_gate.load(); }, 20s);
+  gate.store(true);
+  batcher.join();
+  isolated.join();
+
+  const std::uint64_t units = kBatchFrames + 2 * kDirectFrames;
+  ASSERT_TRUE(eventually([&] { return got_units.load() == units; }));
+  pair.a->drain();
+  EXPECT_EQ(pair.a->messages_sent_total(), units);
+  EXPECT_EQ(pair.b->parcels_received_total(), units);
+  EXPECT_EQ(pair.a->parcels_dropped_total(), 0u);
+
+  std::uint32_t next[3] = {0, 0, 0};
+  for (const auto& frame : got) {
+    const auto view = parcel::frame_view::parse(frame);
+    ASSERT_TRUE(view.has_value());
+    const parcel::action_id id = (*view->begin()).action();
+    const std::uint32_t sender = id >> 24, seq = id & 0xffffffu;
+    ASSERT_TRUE(sender == 1 || sender == 2) << "sender " << sender;
+    ASSERT_EQ(seq, next[sender]) << "sender " << sender << " out of order";
+    next[sender] += 1;
+    EXPECT_EQ(frame, sender == 1 ? seq_frame(1, seq, kBatchBytes)
+                                 : seq_frame(2, seq, 64, 2));
+  }
+  EXPECT_EQ(next[1], kBatchFrames);
+  EXPECT_EQ(next[2], kDirectFrames);
+  // Batch frames never go direct, nor do isolated frames behind a
+  // backlog; on a quiet link every isolated frame does.
+  const std::uint64_t direct = direct_sends(*pair.a);
+  EXPECT_GE(direct, kDirectFrames - kQuietAt);
+  EXPECT_LE(direct, kDirectFrames - (kOpenAt - kQueuedFrom))
+      << "backlog when the queued phase began: " << backlog.load()
+      << " units";
+}
+
+TEST(TcpDirectSend, DirectFrameLeavesNothingInFlight) {
+  tcp_pair pair;
+  std::atomic<std::uint64_t> got{0};
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
+  pair.connect();
+
+  pair.a->send(to_peer(make_frame(3), 3, false));
+  // The frame reached the kernel before send() returned: nothing is left
+  // for the progress thread, so the books are already settled.
+  ASSERT_EQ(pair.a->in_flight(), 0u);
+  pair.a->drain();
+  EXPECT_EQ(direct_sends(*pair.a), 1u);
+  EXPECT_EQ(pair.a->messages_sent_total(), 3u);
+  ASSERT_TRUE(eventually([&] { return got.load() == 3u; }));
+  EXPECT_EQ(pair.b->parcels_received_total(),
+            pair.a->messages_sent_total());
+  EXPECT_EQ(pair.a->parcels_dropped_total(), 0u);
+}
+
+// Open descriptors of this process, without the one listing them.
+std::set<int> open_fds() {
+  std::set<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') fds.insert(std::atoi(e->d_name));
+  }
+  fds.erase(::dirfd(dir));
+  ::closedir(dir);
+  return fds;
+}
+
+int move_fd_high(int fd) {
+  const int high = ::fcntl(fd, F_DUPFD, 512);
+  ::close(fd);
+  return high;
+}
+
+TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
+  tcp_pair pair;
+  std::atomic<std::uint64_t> got{0};
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
+  pair.connect();
+
+  const std::set<int> before = open_fds();
+  pair.b->expect_peer_disconnects();
+  pair.a->mark_peer_dead(1);
+  ASSERT_TRUE(
+      eventually([&] { return (pair.a->folded_peer_mask() & 2u) != 0; }));
+
+  // Put a live socket on every descriptor number the close freed, the old
+  // link's among them: a send that still used the stale fd would land
+  // on one of them.
+  std::vector<int> watchers;
+  const std::set<int> after = open_fds();
+  for (const int fd : before) {
+    if (after.count(fd) != 0) continue;
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    // The pair itself takes the lowest free numbers, the ones under test:
+    // move both ends above them first.
+    const int end = move_fd_high(sv[0]);
+    watchers.push_back(move_fd_high(sv[1]));
+    ASSERT_EQ(::dup2(end, fd), fd);
+    ::close(end);
+    watchers.push_back(fd);
+  }
+  ASSERT_FALSE(watchers.empty());
+
+  pair.a->send(to_peer(make_frame(2), 2, false));
+  EXPECT_EQ(pair.a->parcels_dropped_total(), 2u);
+  EXPECT_EQ(pair.a->in_flight(), 0u);
+  pair.a->drain();
+  EXPECT_EQ(direct_sends(*pair.a), 0u);
+  for (std::size_t i = 0; i < watchers.size(); i += 2) {
+    std::byte sink[16];
+    EXPECT_EQ(::recv(watchers[i], sink, sizeof sink, MSG_DONTWAIT), -1);
+    EXPECT_EQ(errno, EAGAIN);
+    ::close(watchers[i]);
+    ::close(watchers[i + 1]);
+  }
+  EXPECT_EQ(got.load(), 0u);
 }
 
 }  // namespace
