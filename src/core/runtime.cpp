@@ -7,7 +7,6 @@
 #include "core/action.hpp"
 #include "core/echo.hpp"
 #include "core/percolation.hpp"
-#include "introspect/query.hpp"
 #include "lco/lco.hpp"
 #include "net/bootstrap.hpp"
 #include "net/shm_transport.hpp"
@@ -18,6 +17,7 @@
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
+#include "util/shard_writer.hpp"
 
 namespace px::core {
 
@@ -138,9 +138,6 @@ runtime::runtime(runtime_params params)
       params_.trace_ring_bytes = static_cast<std::size_t>(
           cfg.get_int("trace.ring_bytes", 1 << 20));
     }
-    if (params_.trace_dir.empty()) {
-      params_.trace_dir = cfg.get_string("trace.dir", ".");
-    }
     if (params_.stats < 0) {
       params_.stats = cfg.get_bool("stats", false) ? 1 : 0;
     } else {
@@ -150,8 +147,8 @@ runtime::runtime(runtime_params params)
       params_.stats_interval_us =
           static_cast<std::uint64_t>(cfg.get_int("stats.interval_us", 10'000));
     }
-    if (params_.stats_dir.empty()) {
-      params_.stats_dir = cfg.get_string("stats.dir", ".");
+    if (params_.telemetry_dir.empty()) {
+      params_.telemetry_dir = cfg.get_string("telemetry.dir", ".");
     }
   }
   // Normalize the resolved toggles into params_ so rank 0's wire blob
@@ -338,8 +335,6 @@ runtime::runtime(runtime_params params)
     introspect::stats_params stp;
     stp.enabled = params_.stats != 0;
     stp.interval_us = params_.stats_interval_us;
-    stp.dir = params_.stats_dir;
-    stp.rank = static_cast<std::uint32_t>(rank_);
     stats_ = std::make_unique<introspect::stats_collector>(introspect_, stp);
   }
 
@@ -373,17 +368,17 @@ runtime::runtime(runtime_params params)
   }
   // Arm the flight recorder last: every consumer above is wired and no
   // parcel can have flowed yet, so the rings start at a clean epoch.
-  trace::recorder::global().configure(
-      params_.trace != 0, params_.trace_ring_bytes, params_.trace_dir,
-      static_cast<std::uint32_t>(rank_));
-  if (params_.trace != 0) trace_boot_counters_ = introspect_.snapshot_all();
+  trace::recorder::global().configure(params_.trace != 0,
+                                      params_.trace_ring_bytes,
+                                      static_cast<std::uint32_t>(rank_));
+  // The shard's counters section is the movement since this snapshot.
+  if (params_.trace != 0 || params_.stats != 0) {
+    boot_counters_ = introspect_.snapshot_all();
+  }
   // Same epoch discipline for the stats sampler: armed only now, so its
   // t=0 tick (and every parcel send-timestamp stamp) happens after the
   // offset is known.
-  if (params_.stats != 0) {
-    stats_->set_clock_offset(clock_offset_ns_);
-    stats_->arm();
-  }
+  stats_->arm();
 }
 
 // Every load-bearing runtime quantity becomes a first-class, gid-named,
@@ -623,17 +618,12 @@ void runtime::start() {
 void runtime::stop() {
   if (!started_) return;
   wait_quiescent();
-  // Drain the rings after quiescence (no producer is mid-request) but
+  // Write the shard after quiescence (no producer is mid-request) but
   // before the shutdown barrier, so a fast rank's exit cannot outrun a
-  // slow rank's shard write in a distributed trace collection.
-  dump_trace();
-  // Stats shard rides the same window: disarm first (joins the sampler
-  // and takes the closing tick), then write — the shard always ends at
-  // quiescence time.
-  if (params_.stats != 0) {
-    stats_->disarm();
-    stats_->dump();
-  }
+  // slow rank's shard write.  Disarm first (joins the sampler and takes
+  // the closing tick): the series always end at quiescence time.
+  stats_->disarm();
+  dump_telemetry();
   // Shutdown sequencing across processes: the quiescence verdict already
   // synchronized everyone, but the barrier keeps a fast rank from tearing
   // its sockets down while a slow one is still inside its final drain.
@@ -653,25 +643,32 @@ void runtime::stop() {
   started_ = false;
 }
 
-void runtime::dump_trace() {
-  if (params_.trace == 0) return;
-  trace::recorder::global().dump(
-      clock_offset_ns_,
-      introspect::registry::delta(trace_boot_counters_,
-                                  introspect_.snapshot_all()));
+std::uint64_t runtime::dump_telemetry() {
+  if (params_.trace == 0 && params_.stats == 0) return 0;
+  std::lock_guard lock(dump_mu_);
+  util::shard_writer w(static_cast<std::uint32_t>(rank_), clock_offset_ns_);
+  trace::recorder::global().write_sections(w);
+  w.begin(util::section_kind::counters);
+  for (const auto& [path, delta] :
+       introspect::registry::delta(boot_counters_, introspect_.snapshot_all())) {
+    w.put_str(path);
+    w.put_u64(static_cast<std::uint64_t>(delta));
+  }
+  stats_->write_sections(w);
+  const std::string path = params_.telemetry_dir + "/px_telemetry." +
+                           std::to_string(rank_) + ".bin";
+  const std::uint64_t bytes = w.write(path);
+  if (bytes == 0) PX_LOG_WARN("telemetry: cannot write shard %s", path.c_str());
+  return bytes;
 }
 
-void runtime::dump_stats() {
-  if (params_.stats == 0) return;
-  stats_->tick_now();  // freshness: the shard ends at dump time
-  stats_->dump();
+// Typed: the dump does file I/O, which has no place on the delivery
+// thread.  Registered eagerly so action tables stay identical machine-wide
+// whether or not a run ever triggers it.
+std::uint64_t telemetry_dump_action() {
+  return this_locality()->rt().dump_telemetry();
 }
-
-std::string runtime::stats_serialize() {
-  if (params_.stats == 0) return {};
-  stats_->tick_now();
-  return stats_->serialize_jsonl();
-}
+PX_REGISTER_ACTION_AS(telemetry_dump_action, "px.telemetry_dump")
 
 locality& runtime::at(gas::locality_id id) {
   PX_ASSERT(id < localities_.size());
@@ -949,42 +946,6 @@ PX_REGISTER_ACTION_AS(migrate_implant_action, "px.migrate_object")
 
 std::uint8_t migrate_implant_action(parcel::migration_record rec) {
   return this_locality()->rt().migrate_implant(rec);
-}
-
-// On-demand shard dump: `apply<&...>(locality_gid(r))` (or any parcel to
-// "px.trace_dump") drains rank r's rings mid-run without waiting for
-// shutdown.  Typed — the dump does file I/O, which has no place on the
-// delivery thread.  Eagerly registered so action tables stay identical
-// machine-wide whether or not a run ever triggers it.
-std::uint8_t trace_dump_action();
-PX_REGISTER_ACTION_AS(trace_dump_action, "px.trace_dump")
-
-std::uint8_t trace_dump_action() {
-  this_locality()->rt().dump_trace();
-  return 1;
-}
-
-// Mid-run stats dump, the px.trace_dump twin: any parcel to
-// "px.stats_dump" (apply<&...>(locality_gid(r))) makes rank r take a
-// fresh tick and rewrite its shard now.  Typed — the dump does file I/O.
-std::uint8_t stats_dump_action();
-PX_REGISTER_ACTION_AS(stats_dump_action, "px.stats_dump")
-
-std::uint8_t stats_dump_action() {
-  this_locality()->rt().dump_stats();
-  return 1;
-}
-
-// Machine-wide gather: replies with this rank's full jsonl shard so rank 0
-// (or any rank) can pull every rank's series over the wire without
-// touching remote filesystems (introspect::stats_pull).  Typed — the
-// serialization walks every series under a mutex, which has no place on
-// the delivery thread.
-std::string stats_pull_action();
-PX_REGISTER_ACTION_AS(stats_pull_action, "px.stats_pull")
-
-std::string stats_pull_action() {
-  return this_locality()->rt().stats_serialize();
 }
 
 // Home side of the directory flip.  Raw-registered (non-spawning, like
@@ -1391,13 +1352,3 @@ void runtime::apply_wire_params(std::span<const std::byte> blob) {
 }
 
 }  // namespace px::core
-
-namespace px::introspect {
-
-lco::future<std::string> stats_pull(core::locality& from,
-                                    gas::locality_id rank) {
-  return core::async_from<&core::stats_pull_action>(
-      from, from.rt().locality_gid(rank));
-}
-
-}  // namespace px::introspect

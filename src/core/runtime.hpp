@@ -38,6 +38,10 @@
 //     bootstrap.  Boot-time gid allocation (locality gids, counter gids)
 //     replays identically in every process, so those names are
 //     machine-wide valid without any directory traffic.
+//
+// Telemetry has one export path: the flight recorder and the stats
+// sampler collect separately (PX_TRACE, PX_STATS), and dump_telemetry
+// writes both into one shard per rank (docs/telemetry.md).
 #pragma once
 
 #include <atomic>
@@ -122,26 +126,20 @@ struct runtime_params {
   std::uint32_t rebalance_min_depth = 0;
   std::uint32_t rebalance_max_migrations = 0;
   std::uint64_t rebalance_interval_us = 0;
-  // Flight recorder (src/trace/, docs/tracing.md).  `trace` is tri-state:
-  // -1 resolves from PX_TRACE (default off).  Ring bytes 0 resolves from
-  // PX_TRACE_RING_BYTES (default 1 MiB per thread); an empty dir resolves
-  // from PX_TRACE_DIR (default ".").  Distributed, rank 0's resolved
-  // toggle wins machine-wide (it rides the wire-params blob) so the
-  // clock-sync collective and the per-parcel wire extension stay
+  // Telemetry (docs/telemetry.md): the flight recorder (src/trace/) and
+  // the stats sampler (src/introspect/stats.*).  `trace` and `stats` are
+  // tri-state: -1 resolves from PX_TRACE / PX_STATS (default off).  Ring
+  // bytes 0 resolves from PX_TRACE_RING_BYTES (default 1 MiB per thread);
+  // interval 0 from PX_STATS_INTERVAL_US (default 10ms); an empty dir from
+  // PX_TELEMETRY_DIR (default ".").  Distributed, rank 0's resolved
+  // toggles win machine-wide (they ride the wire-params blob) so the
+  // clock-sync collective and the per-parcel wire extensions stay
   // symmetric across ranks.
   int trace = -1;
   std::size_t trace_ring_bytes = 0;
-  std::string trace_dir;
-  // Telemetry plane (src/introspect/stats.*, docs/metrics.md).  `stats` is
-  // tri-state: -1 resolves from PX_STATS (default off); interval 0
-  // resolves from PX_STATS_INTERVAL_US (default 10ms); an empty dir
-  // resolves from PX_STATS_DIR (default ".").  Distributed, rank 0's
-  // resolved toggle wins machine-wide (wire-params blob): the per-parcel
-  // send-timestamp wire extension and the clock-sync collective must stay
-  // symmetric across ranks, exactly like tracing.
   int stats = -1;
   std::uint64_t stats_interval_us = 0;
-  std::string stats_dir;
+  std::string telemetry_dir;
 };
 
 class runtime {
@@ -216,26 +214,17 @@ class runtime {
   // same number of times — it is a collective operation.
   void wait_quiescent();
 
-  // Drains this rank's trace rings into px_trace.<rank>.bin (no-op with
-  // tracing off), with the counter movement since boot as the shard
-  // trailer.  stop() calls it after quiescence; the px.trace_dump action
-  // triggers it mid-run (rings drain destructively, so a later dump
-  // carries only events since).
-  void dump_trace();
+  // Writes this rank's telemetry shard, telemetry_dir/px_telemetry.<rank>.bin
+  // (util/shard_writer.hpp): one `events` section per trace ring with
+  // PX_TRACE on, the counter movement since boot, and the sampler's
+  // series with PX_STATS on.  Returns the shard's size in bytes, or 0
+  // when both planes are off (no file) or the file cannot be written.
+  // stop() calls it after quiescence; the px.telemetry_dump action
+  // triggers it mid-run.  Rings drain (a later dump carries only events
+  // since); series do not (a later dump carries a longer window).
+  std::uint64_t dump_telemetry();
 
-  // Takes a fresh sampling tick and writes this rank's series shard to
-  // PX_STATS_DIR/px_stats.<rank>.jsonl (no-op with PX_STATS off).  stop()
-  // calls it after quiescence; the px.stats_dump action triggers it
-  // mid-run (series are non-destructive, so a later dump supersedes an
-  // earlier one with a longer window).
-  void dump_stats();
-
-  // This rank's full jsonl shard (with a fresh tick), as shipped by the
-  // px.stats_pull action so rank 0 can gather the machine without touching
-  // remote filesystems.  Empty with PX_STATS off.
-  std::string stats_serialize();
-
-  // The telemetry collector (introspect/stats.hpp): series windows, rates,
+  // The stats sampler (introspect/stats.hpp): series windows and
   // tick/drop totals.  Valid whether or not PX_STATS armed it.
   introspect::stats_collector& telemetry() noexcept { return *stats_; }
 
@@ -427,12 +416,13 @@ class runtime {
   mutable util::spinlock migrations_lock_;
   std::unordered_map<gas::gid, migration_entry> migrations_;
 
-  // Flight-recorder bookkeeping: the boot-time counter snapshot the dump
-  // trailer deltas against, and this rank's steady-clock offset from rank
-  // 0 (sampled over the bootstrap control plane; 0 when sim or rank 0).
-  // The offset is shared by the trace and stats planes — both normalize
-  // local timestamps onto rank 0's clock.
-  std::vector<introspect::counter_sample> trace_boot_counters_;
+  // Telemetry bookkeeping: the boot-time counter snapshot the shard's
+  // counters section deltas against, a lock that keeps dumps one at a
+  // time (the trace rings have a single consumer), and this rank's
+  // steady-clock offset from rank 0 (sampled over the bootstrap control
+  // plane; 0 when sim or rank 0), stamped into the shard header.
+  std::vector<introspect::counter_sample> boot_counters_;
+  std::mutex dump_mu_;
   std::int64_t clock_offset_ns_ = 0;
 
   // Resilience bookkeeping: which peer ranks this process has confirmed
@@ -457,5 +447,9 @@ class runtime {
   gas::locality_id rank_ = 0;  // this process's locality (0 when sim)
   bool started_ = false;
 };
+
+// px.telemetry_dump: runs dump_telemetry on the receiving rank and
+// replies with the shard's size in bytes (core::async on a locality gid).
+std::uint64_t telemetry_dump_action();
 
 }  // namespace px::core

@@ -56,13 +56,4 @@ std::optional<lco::future<std::uint64_t>> query_hist(core::locality& from,
                                                      std::string_view path,
                                                      double q);
 
-// Machine-wide series gather: pulls rank `rank`'s full jsonl stats shard
-// (the introspect/stats.hpp serialization) over the px.stats_pull typed
-// action, so rank 0 can collect every rank's series without touching
-// remote filesystems.  The future resolves to the empty string when the
-// machine runs with PX_STATS off.  Defined in core/runtime.cpp beside the
-// action.
-lco::future<std::string> stats_pull(core::locality& from,
-                                    gas::locality_id rank);
-
 }  // namespace px::introspect

@@ -1,10 +1,9 @@
 #include "introspect/stats.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "util/clock.hpp"
-#include "util/log.hpp"
+#include "util/shard_writer.hpp"
 
 namespace px::introspect {
 
@@ -16,7 +15,6 @@ stats_collector::stats_collector(registry& reg, stats_params params)
     : reg_(reg), params_(std::move(params)) {
   if (params_.interval_us == 0) params_.interval_us = 10'000;
   if (params_.ring_points < 2) params_.ring_points = 2;
-  if (params_.dir.empty()) params_.dir = ".";
 }
 
 stats_collector::~stats_collector() { disarm(); }
@@ -96,82 +94,28 @@ std::vector<series_point> stats_collector::window(
   if (it == series_.end()) return out;
   const series& s = it->second;
   out.reserve(s.count);
-  const std::size_t start = (s.head + s.pts.size() - s.count) % s.pts.size();
-  for (std::size_t i = 0; i < s.count; ++i) {
-    out.push_back(s.pts[(start + i) % s.pts.size()]);
-  }
+  for (std::size_t i = 0; i < s.count; ++i) out.push_back(s.at(i));
   return out;
 }
 
-std::optional<series_point> stats_collector::latest(
-    std::string_view path) const {
+void stats_collector::write_sections(util::shard_writer& w) {
+  if (!params_.enabled) return;
+  if (running_) tick_now();
+  // One lock over both: tick_now bumps ticks_ and dropped_ under mu_, so
+  // the sampler section agrees with the series written after it.
   std::lock_guard lock(mu_);
-  const auto it = series_.find(std::string(path));
-  if (it == series_.end() || it->second.count == 0) return std::nullopt;
-  const series& s = it->second;
-  return s.pts[(s.head + s.pts.size() - 1) % s.pts.size()];
-}
-
-std::optional<double> stats_collector::rate_per_sec(
-    std::string_view path) const {
-  const auto pts = window(path);
-  if (pts.size() < 2) return std::nullopt;
-  const auto& a = pts.front();
-  const auto& b = pts.back();
-  if (b.ts_ns <= a.ts_ns) return std::nullopt;
-  const double dv = static_cast<double>(b.value) - static_cast<double>(a.value);
-  return dv * 1e9 / static_cast<double>(b.ts_ns - a.ts_ns);
-}
-
-std::string stats_collector::serialize_jsonl() const {
-  std::string out;
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "{\"kind\":\"header\",\"version\":1,\"rank\":%u,"
-                "\"clock_offset_ns\":%lld,\"interval_us\":%llu,"
-                "\"ticks\":%llu,\"dropped_points\":%llu}\n",
-                params_.rank, static_cast<long long>(clock_offset_ns_),
-                static_cast<unsigned long long>(params_.interval_us),
-                static_cast<unsigned long long>(ticks()),
-                static_cast<unsigned long long>(dropped_points()));
-  out += buf;
-
-  std::lock_guard lock(mu_);
+  w.begin(util::section_kind::sampler);
+  w.put_u64(params_.interval_us);
+  w.put_u64(ticks());
+  w.put_u64(dropped_points());
   for (const auto& [path, s] : series_) {
-    // Counter paths are name_service-validated segments ([a-z0-9_./]), so
-    // no JSON string escaping is ever needed here.
-    out += "{\"kind\":\"series\",\"path\":\"";
-    out += path;
-    out += "\",\"points\":[";
-    const std::size_t start = (s.head + s.pts.size() - s.count) % s.pts.size();
+    w.begin(util::section_kind::series);
+    w.put_str(path);
     for (std::size_t i = 0; i < s.count; ++i) {
-      const series_point& p = s.pts[(start + i) % s.pts.size()];
-      std::snprintf(buf, sizeof buf, "%s[%lld,%llu]", i == 0 ? "" : ",",
-                    static_cast<long long>(p.ts_ns),
-                    static_cast<unsigned long long>(p.value));
-      out += buf;
+      w.put_u64(static_cast<std::uint64_t>(s.at(i).ts_ns));
+      w.put_u64(s.at(i).value);
     }
-    out += "]}\n";
   }
-  return out;
-}
-
-bool stats_collector::dump() const {
-  const std::string path =
-      params_.dir + "/px_stats." + std::to_string(params_.rank) + ".jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    PX_LOG_WARN("stats: cannot write shard %s", path.c_str());
-    return false;
-  }
-  const std::string body = serialize_jsonl();
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool ok = std::fclose(f) == 0 && wrote;
-  if (ok) {
-    PX_LOG_INFO("stats: wrote shard %s (%llu ticks)", path.c_str(),
-                static_cast<unsigned long long>(ticks()));
-  }
-  return ok;
 }
 
 }  // namespace px::introspect

@@ -6,7 +6,8 @@
 // sampler thread snapshots every locally-sampled counter each tick into a
 // per-counter bounded ring of {ts_ns, value} points, so rates, derivatives,
 // and tail-latency quantiles are queryable live (and exportable for the
-// tools/px_fit.py scaling models) without the application storing anything.
+// `tools/px_telemetry.py fit` scaling models) without the application
+// storing anything.
 //
 // Histogram counters (registry::add_hist) are expanded per tick into
 // synthetic quantile series `<path>/p50 … /p999`, so e.g. the p99 parcel
@@ -14,18 +15,20 @@
 // count rides in the scalar snapshot under the histogram's own path.
 //
 // Cost model mirrors the flight recorder: always compiled in, armed by
-// PX_STATS (period PX_STATS_INTERVAL_US, shard directory PX_STATS_DIR);
-// when disabled every instrumentation site pays exactly one relaxed load
-// and a predicted branch — no clock read, no histogram lock.  The sampler
-// itself never blocks runtime progress: rings overwrite their oldest point
-// when full (counted in dropped_points), and sampling runs on a plain OS
-// thread outside the scheduler, invisible to quiescence.
+// PX_STATS (period PX_STATS_INTERVAL_US); when disabled every
+// instrumentation site pays exactly one relaxed load and a predicted
+// branch — no clock read, no histogram lock.  The sampler itself never
+// blocks runtime progress: rings overwrite their oldest point when full
+// (counted in dropped_points), and sampling runs on a plain OS thread
+// outside the scheduler, invisible to quiescence.
 //
-// Export: at shutdown (or mid-run via the px.stats_dump action) each rank
-// drains its series to `PX_STATS_DIR/px_stats.<rank>.jsonl`; the
-// px.stats_pull action returns the same serialization over the wire so
-// rank 0 can gather the machine.  tools/px_stats.py merges shards into one
-// timeline using the bootstrap-sampled clock offsets (docs/metrics.md).
+// Export: the collector owns no file.  runtime::dump_telemetry (at
+// shutdown, or mid-run via the px.telemetry_dump action) writes its
+// series as `sampler` + `series` sections of the rank's telemetry shard,
+// beside the recorder's events (util/shard_writer.hpp); series are not
+// drained, so a later dump carries a longer window.
+// `tools/px_telemetry.py stats` merges the shards onto one timeline
+// using the bootstrap-sampled clock offsets (docs/telemetry.md).
 #pragma once
 
 #include <atomic>
@@ -33,13 +36,16 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "introspect/registry.hpp"
+
+namespace px::util {
+class shard_writer;
+}
 
 namespace px::introspect {
 
@@ -61,8 +67,6 @@ struct stats_params {
   bool enabled = false;
   std::uint64_t interval_us = 10'000;  // sampler period (PX_STATS_INTERVAL_US)
   std::size_t ring_points = 512;       // per-series ring capacity
-  std::string dir = ".";               // shard directory (PX_STATS_DIR)
-  std::uint32_t rank = 0;
 };
 
 // One sampled point of one counter's series.
@@ -88,12 +92,9 @@ class stats_collector {
   // global flag.  Idempotent; also run by the destructor.
   void disarm();
 
-  bool enabled() const noexcept { return params_.enabled; }
-  const stats_params& params() const noexcept { return params_; }
-
   // One sampling pass over the registry (scalars + histogram quantiles),
   // appending a point to every series.  The sampler thread calls this each
-  // period; tests (and dump, for freshness) call it directly.
+  // period; tests (and write_sections, for freshness) call it directly.
   void tick_now();
 
   std::uint64_t ticks() const noexcept {
@@ -108,34 +109,21 @@ class stats_collector {
   // The series recorded for `path`, oldest point first.  Histogram
   // quantile series are addressed as `<counter path>/p50|p95|p99|p999`.
   std::vector<series_point> window(std::string_view path) const;
-  std::optional<series_point> latest(std::string_view path) const;
 
-  // First-differences rate over the retained window: (last-first)/Δt per
-  // second.  Negative for shrinking gauges; nullopt without >= 2 points
-  // spanning nonzero time.
-  std::optional<double> rate_per_sec(std::string_view path) const;
-
-  // Clock offset to rank 0 (net::bootstrap::clock_sync), stamped into the
-  // shard header so px_stats.py can merge ranks onto one timeline.
-  void set_clock_offset(std::int64_t off_ns) noexcept {
-    clock_offset_ns_ = off_ns;
-  }
-
-  // The jsonl shard serialization (docs/metrics.md): one header object
-  // line, then one object line per series.  Also the px.stats_pull wire
-  // payload.
-  std::string serialize_jsonl() const;
-
-  // Writes `<dir>/px_stats.<rank>.jsonl`.  Non-destructive (series keep
-  // accumulating; a later dump overwrites with a longer window).  Returns
-  // false (with a log line) when the file cannot be written.
-  bool dump() const;
+  // Appends a `sampler` section (interval, ticks, dropped points) and one
+  // `series` section per series to `w`, after a fresh tick while the
+  // sampler runs, so a mid-run shard ends at dump time.  Non-destructive.
+  // No-op unless constructed with params.enabled.
+  void write_sections(util::shard_writer& w);
 
  private:
   struct series {
     std::vector<series_point> pts;  // ring storage, capacity ring_points
     std::size_t head = 0;           // next write slot
     std::size_t count = 0;          // live points (<= capacity)
+    const series_point& at(std::size_t i) const {  // i-th oldest point
+      return pts[(head + pts.size() - count + i) % pts.size()];
+    }
   };
 
   void append(const std::string& path, std::int64_t ts, std::uint64_t value);
@@ -149,7 +137,6 @@ class stats_collector {
 
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::int64_t clock_offset_ns_ = 0;
 
   std::mutex wake_mu_;  // sampler sleep/stop handshake
   std::condition_variable wake_cv_;
@@ -159,7 +146,7 @@ class stats_collector {
 };
 
 // Quantiles expanded per tick for every histogram counter, as (suffix,
-// q) pairs — shared with the serializer and docs.
+// q) pairs.
 inline constexpr struct {
   const char* suffix;
   double q;

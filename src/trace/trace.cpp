@@ -1,13 +1,12 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <vector>
 
 #include "threads/scheduler.hpp"
 #include "threads/thread.hpp"
 #include "util/clock.hpp"
-#include "util/log.hpp"
+#include "util/shard_writer.hpp"
 
 namespace px::trace {
 
@@ -17,7 +16,7 @@ namespace detail {
 // recorder singleton exists, with no init-guard on the fast path.
 std::atomic<bool> g_enabled{false};
 
-// One producer (the owning OS thread), one consumer (dump's drain).  head_
+// One producer (the owning OS thread), one consumer (write_sections' drain).  head_
 // publishes with release so the drain's acquire load sees complete slots;
 // tail_ only ever advances, so a full ring is detected with a relaxed
 // read — worst case the producer sees a stale (smaller) tail and drops an
@@ -65,7 +64,7 @@ void set_current(context ctx) noexcept {
   tl_context = ctx;
 }
 
-void recorder::configure(bool on, std::size_t ring_bytes, std::string dir,
+void recorder::configure(bool on, std::size_t ring_bytes,
                          std::uint32_t rank) {
   // Successive runtimes in one process (the common test shape) re-arm the
   // same singleton; reset every ring so a dump never replays the previous
@@ -85,8 +84,6 @@ void recorder::configure(bool on, std::size_t ring_bytes, std::string dir,
   // never hand out the same trace/span id machine-wide.
   id_salt_ = (static_cast<std::uint64_t>(rank) + 1) << 48;
   ring_capacity_ = std::max<std::size_t>(ring_bytes / sizeof(event), 64);
-  rank_ = rank;
-  dir_ = dir.empty() ? "." : std::move(dir);
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
@@ -145,73 +142,22 @@ std::uint64_t recorder::drops_total() const noexcept {
   return n;
 }
 
-namespace {
-
-void put_u32(std::FILE* f, std::uint32_t v) {
-  std::uint8_t b[4] = {static_cast<std::uint8_t>(v),
-                       static_cast<std::uint8_t>(v >> 8),
-                       static_cast<std::uint8_t>(v >> 16),
-                       static_cast<std::uint8_t>(v >> 24)};
-  std::fwrite(b, 1, sizeof b, f);
-}
-
-void put_u64(std::FILE* f, std::uint64_t v) {
-  put_u32(f, static_cast<std::uint32_t>(v));
-  put_u32(f, static_cast<std::uint32_t>(v >> 32));
-}
-
-}  // namespace
-
-bool recorder::dump(
-    std::int64_t clock_offset_ns,
-    const std::vector<std::pair<std::string, std::int64_t>>& counter_deltas) {
-  if (!detail::g_enabled.load(std::memory_order_relaxed)) return false;
-
-  std::vector<detail::ring*> rings;
+void recorder::write_sections(util::shard_writer& w) {
+  if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
   for (detail::ring* r = rings_.load(std::memory_order_acquire); r != nullptr;
        r = r->next) {
-    rings.push_back(r);
-  }
-
-  const std::string path =
-      dir_ + "/px_trace." + std::to_string(rank_) + ".bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    PX_LOG_WARN("trace: cannot write shard %s", path.c_str());
-    return false;
-  }
-  put_u32(f, shard_magic);
-  put_u32(f, shard_version);
-  put_u32(f, rank_);
-  put_u32(f, static_cast<std::uint32_t>(rings.size()));
-  put_u64(f, static_cast<std::uint64_t>(clock_offset_ns));
-
-  for (detail::ring* r : rings) {
     const std::uint64_t head = r->head.load(std::memory_order_acquire);
     std::uint64_t tail = r->tail.load(std::memory_order_relaxed);
-    put_u32(f, r->id);
-    put_u32(f, 0);  // reserved
-    put_u64(f, head - tail);
+    w.begin(util::section_kind::events);
+    w.put_u32(r->id);
+    w.put_u32(0);  // reserved
     // Records are LE-native in memory (see the event static_assert), so
-    // slot-by-slot fwrite is the on-disk format directly.
+    // slot-by-slot copies are the on-disk format directly.
     for (; tail != head; ++tail) {
-      std::fwrite(&r->slots[tail % r->slots.size()], sizeof(event), 1, f);
+      w.put_bytes(&r->slots[tail % r->slots.size()], sizeof(event));
     }
     r->tail.store(head, std::memory_order_release);
   }
-
-  put_u32(f, static_cast<std::uint32_t>(counter_deltas.size()));
-  for (const auto& [cpath, delta] : counter_deltas) {
-    put_u32(f, static_cast<std::uint32_t>(cpath.size()));
-    std::fwrite(cpath.data(), 1, cpath.size(), f);
-    put_u64(f, static_cast<std::uint64_t>(delta));
-  }
-  const bool ok = std::fclose(f) == 0;
-  if (ok) {
-    PX_LOG_INFO("trace: wrote shard %s (%zu rings)", path.c_str(),
-                rings.size());
-  }
-  return ok;
 }
 
 }  // namespace px::trace

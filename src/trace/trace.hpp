@@ -17,22 +17,23 @@
 // Crossing the wire it travels as an optional 16-byte parcel header
 // extension (parcel/parcel.hpp), so sender-side parcel_send and
 // receiver-side parcel_dispatch records share a (trace, span) key that
-// tools/px_trace.py turns into Perfetto flow arrows.
+// `tools/px_telemetry.py trace` turns into Perfetto flow arrows.
 //
-// Always compiled in, enabled by PX_TRACE (ring size PX_TRACE_RING_BYTES,
-// shard directory PX_TRACE_DIR); when disabled the per-event cost is one
-// relaxed load and a predicted branch.  At shutdown (or via the
-// px.trace_dump action) each rank drains its rings into a binary shard
-// `px_trace.<rank>.bin` with a counter-delta trailer; per-rank steady
-// clocks are normalized by offsets sampled during net::bootstrap.
-// See docs/tracing.md for the schema and the merge pipeline.
+// Always compiled in, enabled by PX_TRACE (ring size PX_TRACE_RING_BYTES);
+// when disabled the per-event cost is one relaxed load and a predicted
+// branch.  The recorder owns no file: runtime::dump_telemetry (at
+// shutdown, or via the px.telemetry_dump action) drains the rings as
+// `events` sections of the rank's telemetry shard, beside the sampler's
+// series (util/shard_writer.hpp, docs/telemetry.md).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstddef>
+
+namespace px::util {
+class shard_writer;
+}
 
 namespace px::trace {
 
@@ -118,12 +119,7 @@ class recorder {
   // ring and the id generator; `rank` salts new_id() so ids minted on
   // different ranks never collide.  Not thread-safe against concurrent
   // emit() — call before schedulers start.
-  void configure(bool on, std::size_t ring_bytes, std::string dir,
-                 std::uint32_t rank);
-
-  bool enabled() const noexcept {
-    return detail::g_enabled.load(std::memory_order_relaxed);
-  }
+  void configure(bool on, std::size_t ring_bytes, std::uint32_t rank);
 
   // Appends one record to the calling thread's ring (allocating and
   // registering the ring on first use).  No-op when disabled.
@@ -135,13 +131,10 @@ class recorder {
   std::uint64_t events_total() const noexcept;
   std::uint64_t drops_total() const noexcept;
 
-  // Drains every ring into `<dir>/px_trace.<rank>.bin` (shard format in
-  // docs/tracing.md), appending `counter_deltas` as the trailer.  Safe
-  // while producers are still live (SPSC: drain only advances tails).
-  // Returns false (with a log line) when the file cannot be written.
-  bool dump(std::int64_t clock_offset_ns,
-            const std::vector<std::pair<std::string, std::int64_t>>&
-                counter_deltas);
+  // Drains each ring into its own `events` section of `w`.  Safe while
+  // producers are still live (SPSC: drain only advances tails); callers
+  // serialize drains.  No-op when disabled.
+  void write_sections(util::shard_writer& w);
 
   std::uint64_t next_id() noexcept {
     return id_seq_.fetch_add(1, std::memory_order_relaxed) | id_salt_;
@@ -153,8 +146,6 @@ class recorder {
   std::atomic<std::uint64_t> id_seq_{1};
   std::uint64_t id_salt_ = 0;
   std::size_t ring_capacity_ = 0;  // events per ring
-  std::uint32_t rank_ = 0;
-  std::string dir_ = ".";
 
   // Registry of all rings ever handed out (never shrinks; rings of dead
   // threads are drained like any other at dump time).
@@ -182,9 +173,5 @@ inline void emit_here(event_kind kind, std::uint64_t data,
   const context ctx = current();
   recorder::global().emit(kind, ctx.trace_id, ctx.span, 0, data, arg);
 }
-
-// Shard file constants (shared with tools/px_trace.py).
-inline constexpr std::uint32_t shard_magic = 0x52545850u;  // "PXTR"
-inline constexpr std::uint32_t shard_version = 1;
 
 }  // namespace px::trace

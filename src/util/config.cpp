@@ -133,12 +133,11 @@ std::vector<knob_info> config::known_knobs() {
       knob("rebalance.min_depth", "minimum deepest-queue depth to act"),
       knob("rebalance.max_migrations", "object migrations per round"),
       knob("rebalance.interval_us", "minimum spacing between rounds"),
-      knob("trace", "flight recorder on/off (docs/tracing.md)"),
+      knob("trace", "flight recorder on/off (docs/telemetry.md)"),
       knob("trace.ring_bytes", "per-thread trace ring size in bytes"),
-      knob("trace.dir", "directory for px_trace.<rank>.bin shards"),
-      knob("stats", "telemetry sampler on/off (docs/metrics.md)"),
-      knob("stats.interval_us", "telemetry sampling period"),
-      knob("stats.dir", "directory for px_stats.<rank>.jsonl shards"),
+      knob("stats", "stats sampler on/off (docs/telemetry.md)"),
+      knob("stats.interval_us", "stats sampling period"),
+      knob("telemetry.dir", "directory for px_telemetry.<rank>.bin shards"),
       // util/log resolves this one directly (not through config), but it
       // is part of the supported environment surface all the same.
       knob("log.level", "log verbosity: debug|info|warn|error|off"),

@@ -133,7 +133,7 @@ TEST(Docs, ReferenceTreeExistsAndIsLinkedFromReadme) {
   const std::string readme = read_doc("README.md");
   for (const char* page :
        {"docs/architecture.md", "docs/agas.md", "docs/wire-protocol.md",
-        "docs/counters.md", "docs/metrics.md", "docs/resilience.md"}) {
+        "docs/counters.md", "docs/telemetry.md", "docs/resilience.md"}) {
     EXPECT_FALSE(read_doc(page).empty()) << page;
     EXPECT_NE(readme.find(page), std::string::npos)
         << "README.md does not link " << page;

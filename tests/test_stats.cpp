@@ -1,7 +1,7 @@
-// Telemetry plane (src/introspect/stats.hpp): collector tick/ring/drop
+// Stats sampler (src/introspect/stats.hpp): collector tick/ring/drop
 // semantics, histogram counters and quantile-addressed queries, the
-// px.stats_dump / px.stats_pull control actions, the jsonl shard format —
-// single-process and across real tcp/shm processes.
+// px.telemetry_dump action, and the sampler and series sections of the
+// telemetry shard — single-process and across real tcp/shm processes.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -24,6 +23,7 @@
 #include "introspect/stats.hpp"
 #include "parcel/action_registry.hpp"
 #include "parcel/parcel.hpp"
+#include "telemetry_shard.hpp"
 #include "threads/scheduler.hpp"
 #include "util/serialize.hpp"
 
@@ -36,48 +36,10 @@ using core::runtime_params;
 std::uint64_t stats_ping(std::uint64_t x) { return x + 1; }
 PX_REGISTER_ACTION(stats_ping)
 
-// ------------------------------------------------------------ shard reader
-
-// Minimal C++ twin of tools/px_stats.py's parser: splits a jsonl shard
-// into its header line and series lines, with just enough field plucking
-// to verify the contract the Python side relies on.
-struct parsed_shard {
-  std::string header;
-  std::vector<std::string> series;
-};
-
-bool read_shard(const std::string& path, parsed_shard& out) {
-  std::ifstream f(path);
-  if (!f.is_open()) return false;
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.empty()) continue;
-    if (line.find("\"kind\":\"header\"") != std::string::npos) {
-      if (!out.header.empty()) return false;  // duplicate header
-      out.header = line;
-    } else if (line.find("\"kind\":\"series\"") != std::string::npos) {
-      if (out.header.empty()) return false;  // series before header
-      out.series.push_back(line);
-    } else {
-      return false;  // unknown line kind
-    }
-  }
-  return !out.header.empty();
-}
-
-bool has_series(const parsed_shard& s, const std::string& series_path) {
-  for (const auto& line : s.series) {
-    if (line.find("\"path\":\"" + series_path + "\"") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
+using test::file_exists;
+using test::read_telemetry_shard;
+using test::telemetry_shard;
+using util::section_kind;
 
 std::string fresh_dir(const std::string& tag) {
   const std::string dir =
@@ -85,7 +47,7 @@ std::string fresh_dir(const std::string& tag) {
   if (::mkdir(dir.c_str(), 0755) != 0) {
     EXPECT_EQ(errno, EEXIST) << "mkdir " << dir;
     for (int r = 0; r < 4; ++r) {
-      std::remove((dir + "/px_stats." + std::to_string(r) + ".jsonl").c_str());
+      std::remove((dir + "/px_telemetry." + std::to_string(r) + ".bin").c_str());
     }
   }
   return dir;
@@ -111,24 +73,21 @@ TEST(Stats, CollectorTickRingBoundAndDropSemantics) {
   for (std::size_t i = 1; i < win.size(); ++i) {
     EXPECT_GT(win[i].ts_ns, win[i - 1].ts_ns);
   }
-  const auto last = col.latest("runtime/loc0/parcels/sent");
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->ts_ns, win.back().ts_ns);
   EXPECT_GT(col.dropped_points(), 0u);
 
   // Unknown series: empty window, no invented points.
   EXPECT_TRUE(col.window("runtime/loc0/no/such/series").empty());
-  EXPECT_FALSE(col.latest("runtime/loc0/no/such/series").has_value());
 
-  // Rate over the retained window: ticks are wall-clock ordered, so a
-  // monotone counter yields a finite non-negative rate.
+  // The window spans wall-clock time, and a monotone counter never
+  // shrinks across it.
   rt.run([&] {
     for (int i = 0; i < 32; ++i) core::this_locality()->spawn([] {});
   });
   col.tick_now();
-  const auto rate = col.rate_per_sec("runtime/loc0/sched/spawned");
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_GE(*rate, 0.0);
+  const auto spawned = col.window("runtime/loc0/sched/spawned");
+  ASSERT_GE(spawned.size(), 2u);
+  EXPECT_GT(spawned.back().ts_ns, spawned.front().ts_ns);
+  EXPECT_GE(spawned.back().value, spawned.front().value);
   rt.stop();
 }
 
@@ -173,7 +132,7 @@ TEST(Stats, HistogramCountersSampleAndAnswerQuantiles) {
   prm.localities = 2;
   prm.stats = 1;
   prm.stats_interval_us = 2000;
-  prm.stats_dir = dir;
+  prm.telemetry_dir = dir;
   runtime rt(prm);
   rt.run([&] {
     for (int i = 0; i < 50; ++i) {
@@ -222,26 +181,29 @@ TEST(Stats, HistogramCountersSampleAndAnswerQuantiles) {
           .empty());
   rt.stop();
 
-  // Shutdown drained a shard whose series include the quantile expansion.
-  parsed_shard shard;
-  ASSERT_TRUE(read_shard(dir + "/px_stats.0.jsonl", shard));
-  EXPECT_NE(shard.header.find("\"rank\":0"), std::string::npos);
-  EXPECT_NE(shard.header.find("\"version\":1"), std::string::npos);
+  // Shutdown wrote a shard whose series include the quantile expansion
+  // (the reader checks magic and version).
+  telemetry_shard shard;
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.0.bin", shard));
+  EXPECT_EQ(shard.rank, 0u);
+  EXPECT_EQ(shard.count(section_kind::sampler), 1u);
+  EXPECT_EQ(shard.interval_us, 2000u);
+  EXPECT_GE(shard.ticks, 2u);
   EXPECT_FALSE(shard.series.empty());
-  EXPECT_TRUE(has_series(shard, "runtime/loc0/parcels/delivered"));
-  EXPECT_TRUE(has_series(shard, "runtime/loc1/parcels/hist_dispatch_ns/p99"));
+  EXPECT_TRUE(shard.has_series("runtime/loc0/parcels/delivered"));
+  EXPECT_TRUE(shard.has_series("runtime/loc1/parcels/hist_dispatch_ns/p99"));
 }
 
-// ------------------------------------------------------- dump/pull actions
+// ------------------------------------------------- dump action + sections
 
-TEST(Stats, StatsDumpActionWritesShardMidRun) {
+TEST(Stats, TelemetryDumpActionWritesShardMidRun) {
   const std::string dir = fresh_dir("dump");
   runtime_params prm;
   prm.localities = 2;
   prm.stats = 1;
-  prm.stats_dir = dir;
+  prm.telemetry_dir = dir;
   runtime rt(prm);
-  const std::string shard_path = dir + "/px_stats.0.jsonl";
+  const std::string shard_path = dir + "/px_telemetry.0.bin";
 
   rt.run([&] {
     for (int i = 0; i < 10; ++i) {
@@ -249,9 +211,9 @@ TEST(Stats, StatsDumpActionWritesShardMidRun) {
     }
     ASSERT_FALSE(file_exists(shard_path));
     // Trigger the dump the way a remote rank would: a parcel addressed to
-    // the eagerly-registered px.stats_dump action (no-arg typed action).
+    // the eagerly-registered px.telemetry_dump action (no-arg typed action).
     const auto id =
-        parcel::action_registry::global().find("px.stats_dump");
+        parcel::action_registry::global().find("px.telemetry_dump");
     ASSERT_TRUE(id.has_value());
     parcel::parcel p;
     p.destination = rt.locality_gid(0);
@@ -268,26 +230,79 @@ TEST(Stats, StatsDumpActionWritesShardMidRun) {
     EXPECT_TRUE(file_exists(shard_path));
   });
 
-  parsed_shard shard;
-  ASSERT_TRUE(read_shard(shard_path, shard));
-  EXPECT_TRUE(has_series(shard, "runtime/loc0/parcels/delivered"));
+  telemetry_shard shard;
+  ASSERT_TRUE(read_telemetry_shard(shard_path, shard));
+  EXPECT_TRUE(shard.has_series("runtime/loc0/parcels/delivered"));
   rt.stop();
 }
 
-TEST(Stats, StatsPullReturnsSerializedSeries) {
+TEST(Stats, TelemetryDumpRepliesWithShardSize) {
+  const std::string dir = fresh_dir("reply");
   runtime_params prm;
   prm.localities = 2;
   prm.stats = 1;
+  prm.telemetry_dir = dir;
   runtime rt(prm);
+  std::uint64_t bytes = 0;
   rt.run([&] {
     core::async<&stats_ping>(rt.locality_gid(1), 1ull).get();
-    const std::string body =
-        introspect::stats_pull(*core::this_locality(), 1).get();
-    EXPECT_NE(body.find("\"kind\":\"header\""), std::string::npos);
-    EXPECT_NE(body.find("\"kind\":\"series\""), std::string::npos);
-    EXPECT_NE(body.find("runtime/loc0/parcels/delivered"), std::string::npos);
+    bytes = core::async<&core::telemetry_dump_action>(rt.locality_gid(1)).get();
   });
+  // The reply is the size of the shard the dump wrote, and that shard
+  // carries the series.
+  std::FILE* f = std::fopen((dir + "/px_telemetry.0.bin").c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  EXPECT_EQ(bytes, static_cast<std::uint64_t>(std::ftell(f)));
+  std::fclose(f);
+  telemetry_shard shard;
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.0.bin", shard));
+  EXPECT_EQ(shard.count(section_kind::sampler), 1u);
+  EXPECT_FALSE(shard.series.empty());
+  EXPECT_TRUE(shard.has_series("runtime/loc0/parcels/delivered"));
   rt.stop();
+}
+
+// One shard per rank whichever plane is armed; its sections follow the
+// toggles, and with neither armed there is no file at all.
+TEST(Stats, ShardSectionsFollowTheArmedPlanes) {
+  const struct {
+    int trace, stats;
+  } configs[] = {{1, 1}, {0, 1}, {0, 0}};
+  for (const auto& c : configs) {
+    SCOPED_TRACE("trace=" + std::to_string(c.trace) +
+                 " stats=" + std::to_string(c.stats));
+    const std::string dir = fresh_dir("planes");
+    runtime_params prm;
+    prm.localities = 2;
+    prm.trace = c.trace;
+    prm.stats = c.stats;
+    prm.telemetry_dir = dir;
+    {
+      runtime rt(prm);
+      rt.run([&] { core::async<&stats_ping>(rt.locality_gid(1), 1ull).get(); });
+      rt.stop();
+    }
+    const std::string shard_path = dir + "/px_telemetry.0.bin";
+    if (c.trace == 0 && c.stats == 0) {
+      EXPECT_FALSE(file_exists(shard_path));
+      continue;
+    }
+    telemetry_shard shard;
+    ASSERT_TRUE(read_telemetry_shard(shard_path, shard));
+    if (c.trace != 0) {
+      EXPECT_GE(shard.count(section_kind::events), 1u);
+      EXPECT_FALSE(shard.events.empty());
+    } else {
+      EXPECT_EQ(shard.count(section_kind::events), 0u);
+    }
+    EXPECT_EQ(shard.count(section_kind::counters), 1u);
+    EXPECT_GT(shard.delta("runtime/loc0/parcels/sent"), 0);
+    EXPECT_EQ(shard.count(section_kind::sampler), 1u);
+    EXPECT_GE(shard.count(section_kind::series), 1u);
+    EXPECT_TRUE(shard.has_series("runtime/loc0/parcels/delivered"));
+  }
+  trace::recorder::global().configure(false, 0, 0);
 }
 
 // ------------------------------------------------------------ disabled mode
@@ -296,19 +311,19 @@ TEST(Stats, DisabledModeWritesNothing) {
   const std::string dir = fresh_dir("off");
   runtime_params prm;
   prm.localities = 2;
+  prm.trace = 0;
   prm.stats = 0;
-  prm.stats_dir = dir;
+  prm.telemetry_dir = dir;
   runtime rt(prm);
   rt.run([&] {
     core::async<&stats_ping>(rt.locality_gid(1), 1ull).get();
     EXPECT_FALSE(introspect::stats_armed());
     // Mid-run dump is a no-op, not a crash or an empty shard.
-    rt.dump_stats();
-    EXPECT_EQ(rt.stats_serialize(), "");
+    EXPECT_EQ(rt.dump_telemetry(), 0u);
   });
   EXPECT_EQ(rt.telemetry().ticks(), 0u);
   rt.stop();
-  EXPECT_FALSE(file_exists(dir + "/px_stats.0.jsonl"));
+  EXPECT_FALSE(file_exists(dir + "/px_telemetry.0.bin"));
   // Instrumented histograms never observed anything: the one-relaxed-load
   // gate kept every site cold.
   EXPECT_EQ(rt.introspection()
@@ -319,10 +334,10 @@ TEST(Stats, DisabledModeWritesNothing) {
 
 // ---------------------------------------------- end-to-end (distributed)
 
-// Rank body shared by the tcp and shm cases: rank 0 drives pings, pulls
-// rank 1's series over px.stats_pull, and queries a remote histogram
-// quantile; every rank's shutdown then writes a jsonl shard the parent
-// verifies (the tools/px_stats.py input contract).
+// Rank body shared by the tcp and shm cases: rank 0 drives pings, has
+// rank 1 write its shard mid-run over px.telemetry_dump, and queries a
+// remote histogram quantile; every rank's shutdown then writes the shard
+// the parent verifies (the tools/px_telemetry.py input contract).
 void distributed_stats_rank_body() {
   runtime rt;
   rt.run([&] {
@@ -332,10 +347,8 @@ void distributed_stats_rank_body() {
                                           static_cast<std::uint64_t>(i));
       EXPECT_EQ(fut.get(), static_cast<std::uint64_t>(i) + 1);
     }
-    const std::string body =
-        introspect::stats_pull(*core::this_locality(), 1).get();
-    EXPECT_NE(body.find("\"rank\":1"), std::string::npos);
-    EXPECT_NE(body.find("\"kind\":\"series\""), std::string::npos);
+    EXPECT_GT(core::async<&core::telemetry_dump_action>(rt.locality_gid(1)).get(),
+              0u);
     auto q = introspect::query_hist(
         *core::this_locality(), "runtime/loc1/parcels/hist_dispatch_ns", 0.99);
     ASSERT_TRUE(q.has_value());
@@ -345,22 +358,32 @@ void distributed_stats_rank_body() {
 }
 
 void distributed_stats_parent_checks(const std::string& dir) {
-  parsed_shard s0, s1;
-  ASSERT_TRUE(read_shard(dir + "/px_stats.0.jsonl", s0));
-  ASSERT_TRUE(read_shard(dir + "/px_stats.1.jsonl", s1));
-  EXPECT_NE(s0.header.find("\"rank\":0"), std::string::npos);
-  EXPECT_NE(s1.header.find("\"rank\":1"), std::string::npos);
-  // Rank 0 is the clock reference; both headers carry the offset field
-  // px_stats.py merges timelines with.
-  EXPECT_NE(s0.header.find("\"clock_offset_ns\":0,"), std::string::npos);
-  EXPECT_NE(s1.header.find("\"clock_offset_ns\":"), std::string::npos);
+  telemetry_shard s0, s1;
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.0.bin", s0));
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.1.bin", s1));
+  EXPECT_EQ(s0.rank, 0u);
+  EXPECT_EQ(s1.rank, 1u);
+  // Rank 0 is the clock reference; rank 1 sampled a real offset (any
+  // value, but the header carries it for the timeline merge).
+  EXPECT_EQ(s0.clock_offset_ns, 0);
   // Each rank samples its own locality's counters (loc1 rows exist on
   // rank 0's shard too — schema parity — but only as remote names, which
   // the sampler skips).
-  EXPECT_TRUE(has_series(s0, "runtime/loc0/parcels/sent"));
-  EXPECT_FALSE(has_series(s0, "runtime/loc1/parcels/sent"));
-  EXPECT_TRUE(has_series(s1, "runtime/loc1/parcels/delivered"));
-  EXPECT_TRUE(has_series(s1, "runtime/loc1/parcels/hist_dispatch_ns/p99"));
+  EXPECT_TRUE(s0.has_series("runtime/loc0/parcels/sent"));
+  EXPECT_FALSE(s0.has_series("runtime/loc1/parcels/sent"));
+  EXPECT_TRUE(s1.has_series("runtime/loc1/parcels/delivered"));
+  EXPECT_TRUE(s1.has_series("runtime/loc1/parcels/hist_dispatch_ns/p99"));
+}
+
+void run_stats_ranks(const std::string& dir, const std::string& test,
+                     const std::string& backend, const char* interval_us) {
+  ::setenv("PX_STATS", "1", 1);
+  ::setenv("PX_TELEMETRY_DIR", dir.c_str(), 1);
+  ::setenv("PX_STATS_INTERVAL_US", interval_us, 1);
+  px::test::run_ranks(2, test, backend);
+  ::unsetenv("PX_STATS");
+  ::unsetenv("PX_TELEMETRY_DIR");
+  ::unsetenv("PX_STATS_INTERVAL_US");
 }
 
 TEST(Distributed, StatsShardsOverTcp) {
@@ -369,13 +392,7 @@ TEST(Distributed, StatsShardsOverTcp) {
     return;
   }
   const std::string dir = fresh_dir("tcp");
-  ::setenv("PX_STATS", "1", 1);
-  ::setenv("PX_STATS_DIR", dir.c_str(), 1);
-  ::setenv("PX_STATS_INTERVAL_US", "2000", 1);
-  px::test::run_ranks(2, "Distributed.StatsShardsOverTcp", "tcp");
-  ::unsetenv("PX_STATS");
-  ::unsetenv("PX_STATS_DIR");
-  ::unsetenv("PX_STATS_INTERVAL_US");
+  run_stats_ranks(dir, "Distributed.StatsShardsOverTcp", "tcp", "2000");
   distributed_stats_parent_checks(dir);
 }
 
@@ -385,14 +402,49 @@ TEST(Distributed, StatsShardsOverShm) {
     return;
   }
   const std::string dir = fresh_dir("shm");
-  ::setenv("PX_STATS", "1", 1);
-  ::setenv("PX_STATS_DIR", dir.c_str(), 1);
-  ::setenv("PX_STATS_INTERVAL_US", "2000", 1);
-  px::test::run_ranks(2, "Distributed.StatsShardsOverShm", "shm");
-  ::unsetenv("PX_STATS");
-  ::unsetenv("PX_STATS_DIR");
-  ::unsetenv("PX_STATS_INTERVAL_US");
+  run_stats_ranks(dir, "Distributed.StatsShardsOverShm", "shm", "2000");
   distributed_stats_parent_checks(dir);
+}
+
+// A mid-run dump of full series rings over shm.  Rank 1's shard then
+// holds every ring's 512 points (more than half the 1 MiB shm ring), so
+// the dump must stay a file write with a small reply: a reply carrying
+// the series would not fit in one shm frame, and the caller would wait
+// forever.
+TEST(Distributed, TelemetryDumpAfterFullRingsOverShm) {
+  if (px::test::is_rank_child()) {
+    runtime rt;
+    rt.run([&] {
+      if (rt.rank() != 0) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      // Rings are full once a point has been overwritten; on a slow host
+      // 300 ms may not have got there yet.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (introspect::query_counter(*core::this_locality(),
+                                       "runtime/loc1/stats/dropped_points")
+                     ->get() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      EXPECT_GT(
+          core::async<&core::telemetry_dump_action>(rt.locality_gid(1)).get(),
+          0u);
+    });
+    rt.stop();
+    return;
+  }
+  const std::string dir = fresh_dir("fullshm");
+  run_stats_ranks(dir, "Distributed.TelemetryDumpAfterFullRingsOverShm", "shm",
+                  "200");
+  telemetry_shard s0, s1;
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.0.bin", s0));
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.1.bin", s1));
+  EXPECT_EQ(s1.rank, 1u);
+  EXPECT_EQ(s1.interval_us, 200u);
+  EXPECT_GT(s1.dropped_points, 0u);
+  const auto& sent = s1.series["runtime/loc1/parcels/sent"];
+  EXPECT_EQ(sent.size(), 512u);  // the default ring, full
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Flight recorder (src/trace/): rings, causal context, the parcel wire
-// extension, the counter snapshot/delta helper, and the end-to-end shard
-// dump — single-process and across real processes.
+// extension, the counter snapshot/delta helper, and the events and
+// counters sections of the end-to-end telemetry shard — single-process
+// and across real processes.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -17,6 +18,7 @@
 #include "core/runtime.hpp"
 #include "distributed_helpers.hpp"
 #include "parcel/parcel.hpp"
+#include "telemetry_shard.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -28,100 +30,16 @@ using core::runtime_params;
 std::uint64_t trace_ping(std::uint64_t x) { return x + 1; }
 PX_REGISTER_ACTION(trace_ping)
 
-// ------------------------------------------------------------ shard reader
-
-struct shard_event {
-  std::int64_t ts_ns;
-  std::uint64_t trace_id, span_id, parent_span, data;
-  std::uint32_t kind, arg;
-};
-
-struct shard {
-  std::uint32_t rank = 0;
-  std::int64_t clock_offset_ns = 0;
-  std::vector<shard_event> events;
-  std::vector<std::pair<std::string, std::int64_t>> counter_deltas;
-};
-
-std::uint32_t rd_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t rd_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(rd_u32(p)) |
-         (static_cast<std::uint64_t>(rd_u32(p + 4)) << 32);
-}
-
-// Parses a px_trace.<rank>.bin shard; fails the test on any structural
-// problem (this is the C++ twin of tools/px_trace.py's reader).
-bool read_shard(const std::string& path, shard& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::vector<std::uint8_t> buf;
-  std::uint8_t tmp[4096];
-  for (std::size_t n; (n = std::fread(tmp, 1, sizeof tmp, f)) > 0;) {
-    buf.insert(buf.end(), tmp, tmp + n);
-  }
-  std::fclose(f);
-  if (buf.size() < 24) return false;
-  const std::uint8_t* p = buf.data();
-  if (rd_u32(p) != trace::shard_magic) return false;
-  if (rd_u32(p + 4) != trace::shard_version) return false;
-  out.rank = rd_u32(p + 8);
-  const std::uint32_t nrings = rd_u32(p + 12);
-  out.clock_offset_ns = static_cast<std::int64_t>(rd_u64(p + 16));
-  std::size_t off = 24;
-  for (std::uint32_t r = 0; r < nrings; ++r) {
-    if (off + 16 > buf.size()) return false;
-    const std::uint64_t count = rd_u64(p + off + 8);
-    off += 16;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (off + 48 > buf.size()) return false;
-      shard_event e;
-      e.ts_ns = static_cast<std::int64_t>(rd_u64(p + off));
-      e.trace_id = rd_u64(p + off + 8);
-      e.span_id = rd_u64(p + off + 16);
-      e.parent_span = rd_u64(p + off + 24);
-      e.data = rd_u64(p + off + 32);
-      e.kind = rd_u32(p + off + 40);
-      e.arg = rd_u32(p + off + 44);
-      out.events.push_back(e);
-      off += 48;
-    }
-  }
-  if (off + 4 > buf.size()) return false;
-  const std::uint32_t ntrailer = rd_u32(p + off);
-  off += 4;
-  for (std::uint32_t i = 0; i < ntrailer; ++i) {
-    if (off + 4 > buf.size()) return false;
-    const std::uint32_t len = rd_u32(p + off);
-    off += 4;
-    if (off + len + 8 > buf.size()) return false;
-    std::string cpath(reinterpret_cast<const char*>(p + off), len);
-    off += len;
-    const auto delta = static_cast<std::int64_t>(rd_u64(p + off));
-    off += 8;
-    out.counter_deltas.emplace_back(std::move(cpath), delta);
-  }
-  return off == buf.size();
-}
-
-std::size_t count_kind(const shard& s, trace::event_kind k) {
-  std::size_t n = 0;
-  for (const auto& e : s.events) {
-    if (e.kind == static_cast<std::uint32_t>(k)) ++n;
-  }
-  return n;
-}
+using test::read_telemetry_shard;
+using test::telemetry_shard;
+using util::section_kind;
 
 // ------------------------------------------------------- ring + id basics
 
 TEST(Trace, FullRingDropsInsteadOfBlocking) {
   auto& rec = trace::recorder::global();
   // 64 slots is the configure() floor; ask for exactly it.
-  rec.configure(true, 64 * sizeof(trace::event), testing::TempDir(), 0);
+  rec.configure(true, 64 * sizeof(trace::event), 0);
   const std::uint64_t events0 = rec.events_total();
   const std::uint64_t drops0 = rec.drops_total();
   for (int i = 0; i < 100; ++i) {
@@ -129,18 +47,18 @@ TEST(Trace, FullRingDropsInsteadOfBlocking) {
   }
   EXPECT_EQ(rec.events_total() - events0, 64u);
   EXPECT_EQ(rec.drops_total() - drops0, 36u);
-  rec.configure(false, 0, "", 0);
+  rec.configure(false, 0, 0);
 }
 
 TEST(Trace, IdsAreRankSalted) {
   auto& rec = trace::recorder::global();
-  rec.configure(true, 1 << 16, testing::TempDir(), 3);
+  rec.configure(true, 1 << 16, 3);
   const std::uint64_t a = trace::new_id();
   const std::uint64_t b = trace::new_id();
   EXPECT_NE(a, b);
   EXPECT_EQ(a >> 48, 4u);  // (rank + 1) << 48
   EXPECT_EQ(b >> 48, 4u);
-  rec.configure(false, 0, "", 0);
+  rec.configure(false, 0, 0);
 }
 
 TEST(Trace, ScopeInstallsAndRestoresContext) {
@@ -158,7 +76,7 @@ TEST(Trace, ScopeInstallsAndRestoresContext) {
 
 TEST(Trace, DisabledEmitIsANoOp) {
   auto& rec = trace::recorder::global();
-  rec.configure(false, 0, "", 0);
+  rec.configure(false, 0, 0);
   const std::uint64_t before = rec.events_total();
   trace::emit(trace::event_kind::lco_wait, 1, 2, 0, 3);
   EXPECT_EQ(rec.events_total(), before);
@@ -274,13 +192,14 @@ TEST(Trace, RuntimeSnapshotIsSortedAndSampled) {
 
 TEST(Trace, SimRuntimeWritesShardWithCausalChain) {
   const std::string dir = testing::TempDir();
-  const std::string shard_path = dir + "/px_trace.0.bin";
+  const std::string shard_path = dir + "/px_telemetry.0.bin";
   std::remove(shard_path.c_str());
 
   runtime_params prm;
   prm.localities = 2;
   prm.trace = 1;
-  prm.trace_dir = dir;
+  prm.stats = 0;
+  prm.telemetry_dir = dir;
   {
     runtime rt(prm);
     rt.run([&] {
@@ -300,16 +219,19 @@ TEST(Trace, SimRuntimeWritesShardWithCausalChain) {
     rt.stop();  // writes the shard
   }
 
-  shard s;
-  ASSERT_TRUE(read_shard(shard_path, s));
+  telemetry_shard s;
+  ASSERT_TRUE(read_telemetry_shard(shard_path, s));
   EXPECT_EQ(s.rank, 0u);
   EXPECT_EQ(s.clock_offset_ns, 0);
+  EXPECT_GE(s.count(section_kind::events), 1u);
+  EXPECT_EQ(s.count(section_kind::counters), 1u);
+  EXPECT_EQ(s.count(section_kind::series), 0u);  // PX_STATS off
   EXPECT_FALSE(s.events.empty());
-  EXPECT_GE(count_kind(s, trace::event_kind::parcel_send), 10u);
-  EXPECT_GE(count_kind(s, trace::event_kind::parcel_dispatch), 10u);
-  EXPECT_GE(count_kind(s, trace::event_kind::fiber_start), 1u);
-  EXPECT_GE(count_kind(s, trace::event_kind::fiber_end), 1u);
-  EXPECT_GE(count_kind(s, trace::event_kind::lco_fire), 1u);
+  EXPECT_GE(s.count(trace::event_kind::parcel_send), 10u);
+  EXPECT_GE(s.count(trace::event_kind::parcel_dispatch), 10u);
+  EXPECT_GE(s.count(trace::event_kind::fiber_start), 1u);
+  EXPECT_GE(s.count(trace::event_kind::fiber_end), 1u);
+  EXPECT_GE(s.count(trace::event_kind::lco_fire), 1u);
 
   // Causality: every send's (trace, span) pair reappears on a dispatch.
   std::size_t matched = 0;
@@ -328,23 +250,23 @@ TEST(Trace, SimRuntimeWritesShardWithCausalChain) {
   }
   EXPECT_GE(matched, 10u);
 
-  // The counter-delta trailer recorded the run's parcel movement.
-  bool sent_delta = false;
-  for (const auto& [path, delta] : s.counter_deltas) {
-    if (path == "runtime/loc0/parcels/sent" && delta > 0) sent_delta = true;
-  }
-  EXPECT_TRUE(sent_delta);
+  // The counters section recorded the run's parcel movement.
+  EXPECT_GT(s.delta("runtime/loc0/parcels/sent"), 0);
 
-  trace::recorder::global().configure(false, 0, "", 0);
+  trace::recorder::global().configure(false, 0, 0);
 }
 
 TEST(Trace, UntracedRuntimeWritesNoShard) {
-  const std::string dir = testing::TempDir();
-  const std::string shard_path = dir + "/px_trace_off.marker";
+  const std::string dir =
+      testing::TempDir() + "/px_trace_off_" + std::to_string(::getpid());
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  const std::string shard_path = dir + "/px_telemetry.0.bin";
+  std::remove(shard_path.c_str());
   runtime_params prm;
   prm.localities = 2;
   prm.trace = 0;
-  prm.trace_dir = dir;
+  prm.stats = 0;
+  prm.telemetry_dir = dir;
   runtime rt(prm);
   rt.run([&] {
     auto fut = core::async<&trace_ping>(rt.locality_gid(1), 1ull);
@@ -354,7 +276,7 @@ TEST(Trace, UntracedRuntimeWritesNoShard) {
   ASSERT_TRUE(events.has_value());
   EXPECT_EQ(*events, 0u);
   rt.stop();
-  (void)shard_path;
+  EXPECT_FALSE(test::file_exists(shard_path));
 }
 
 // ---------------------------------------------- end-to-end (distributed)
@@ -382,29 +304,29 @@ TEST(Distributed, TraceShardsCarryCrossRankFlows) {
       testing::TempDir() + "/px_trace_dist_" + std::to_string(::getpid());
   if (::mkdir(dir.c_str(), 0755) != 0) {
     ASSERT_EQ(errno, EEXIST) << "mkdir " << dir;
-    std::remove((dir + "/px_trace.0.bin").c_str());
-    std::remove((dir + "/px_trace.1.bin").c_str());
+    std::remove((dir + "/px_telemetry.0.bin").c_str());
+    std::remove((dir + "/px_telemetry.1.bin").c_str());
   }
   ::setenv("PX_TRACE", "1", 1);
-  ::setenv("PX_TRACE_DIR", dir.c_str(), 1);
+  ::setenv("PX_TELEMETRY_DIR", dir.c_str(), 1);
   px::test::run_ranks(2, "Distributed.TraceShardsCarryCrossRankFlows");
   ::unsetenv("PX_TRACE");
-  ::unsetenv("PX_TRACE_DIR");
+  ::unsetenv("PX_TELEMETRY_DIR");
 
-  shard s0, s1;
-  ASSERT_TRUE(read_shard(dir + "/px_trace.0.bin", s0));
-  ASSERT_TRUE(read_shard(dir + "/px_trace.1.bin", s1));
+  telemetry_shard s0, s1;
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.0.bin", s0));
+  ASSERT_TRUE(read_telemetry_shard(dir + "/px_telemetry.1.bin", s1));
   EXPECT_EQ(s0.rank, 0u);
   EXPECT_EQ(s1.rank, 1u);
   // Rank 0 is the clock reference; rank 1 sampled a real offset (any
   // value, but the field must have survived the trip to disk).
   EXPECT_EQ(s0.clock_offset_ns, 0);
 
-  EXPECT_GE(count_kind(s0, trace::event_kind::parcel_send),
+  EXPECT_GE(s0.count(trace::event_kind::parcel_send),
             static_cast<std::size_t>(kPings));
-  EXPECT_GE(count_kind(s0, trace::event_kind::wire_tx), 1u);
-  EXPECT_GE(count_kind(s1, trace::event_kind::wire_rx), 1u);
-  EXPECT_GE(count_kind(s1, trace::event_kind::parcel_dispatch),
+  EXPECT_GE(s0.count(trace::event_kind::wire_tx), 1u);
+  EXPECT_GE(s1.count(trace::event_kind::wire_rx), 1u);
+  EXPECT_GE(s1.count(trace::event_kind::parcel_dispatch),
             static_cast<std::size_t>(kPings));
 
   // Cross-rank causal edges: sends on rank 0 whose (trace, span) key
