@@ -220,7 +220,7 @@ runtime::runtime(runtime_params params)
       sp.nranks = static_cast<std::uint32_t>(params_.localities);
       sp.ring_bytes = static_cast<std::size_t>(shm_cfg.get_int(
           "shm.ring_bytes", static_cast<std::int64_t>(sp.ring_bytes)));
-      sp.spin_us = shm_cfg.get_int("shm.spin_us", host_has_cores ? 50 : 2);
+      sp.spin_us = host_has_cores ? 50 : 2;
       dist_ = std::make_unique<net::shm_transport>(sp);
     }
     // Resilience knobs + fault plan resolve from this rank's own
@@ -1074,8 +1074,8 @@ void runtime::note_peer_failure(gas::locality_id rank) {
               "reduced membership",
               static_cast<unsigned>(rank_), static_cast<unsigned>(rank));
   // (1) Ask the transport to fold the casualty into the conservation
-  // books.  This only *requests* the fold: close_link queues the close on
-  // the backend progress thread, so the books (parcels_lost freeze,
+  // books.  This only *requests* the fold: mark_peer_dead queues the close
+  // on the transport's progress thread, so the books (parcels_lost freeze,
   // peer_failed) may settle after this function returns — which is why
   // wait_quiescent gates on the transport's folded mask in addition to
   // peer_swept_mask_ below.  (2) Tell the control plane: its dead mask

@@ -17,15 +17,6 @@ namespace {
 constexpr auto kIdleTick = std::chrono::microseconds(200);
 }  // namespace
 
-const char* to_string(topology_kind k) noexcept {
-  switch (k) {
-    case topology_kind::crossbar: return "crossbar";
-    case topology_kind::mesh2d: return "mesh2d";
-    case topology_kind::vortex: return "vortex";
-  }
-  return "?";
-}
-
 std::uint32_t topology_hops(topology_kind k, std::size_t endpoints,
                             endpoint_id a, endpoint_id b) noexcept {
   if (a == b) return 0;
@@ -263,16 +254,6 @@ endpoint_stats fabric::stats(endpoint_id ep) const {
   out.messages_received = st.messages_received.load(std::memory_order_relaxed);
   out.bytes_sent = st.bytes_sent.load(std::memory_order_relaxed);
   out.bytes_received = st.bytes_received.load(std::memory_order_relaxed);
-  return out;
-}
-
-link_counters fabric::link(endpoint_id ep) const {
-  const endpoint_stats st = stats(ep);
-  link_counters out;
-  out.bytes_tx = st.bytes_sent;
-  out.bytes_rx = st.bytes_received;
-  out.msgs_tx = st.messages_sent;
-  out.msgs_rx = st.messages_received;
   return out;
 }
 

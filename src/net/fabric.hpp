@@ -47,8 +47,6 @@ enum class topology_kind {
   vortex,    // Data-Vortex-style low-diameter fabric: ~log2(N) hops
 };
 
-const char* to_string(topology_kind k) noexcept;
-
 // Hop count between endpoints under a topology; exposed for tests and for
 // the Gilgamesh network model, which reuses the same geometry.
 std::uint32_t topology_hops(topology_kind k, std::size_t endpoints,
@@ -117,7 +115,6 @@ class fabric final : public transport {
     return params_.endpoints;
   }
   endpoint_stats stats(endpoint_id ep) const override;
-  link_counters link(endpoint_id ep) const override;
   const char* backend_name() const noexcept override { return "sim"; }
   // Distribution of modeled in-flight delays (ns), one sample per parcel.
   util::log_histogram latency_histogram() const;

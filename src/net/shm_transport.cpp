@@ -115,29 +115,25 @@ void futex_wake_one(std::atomic<std::uint32_t>* addr) {
 
 }  // namespace
 
-shm_transport::shm_transport(shm_params params) : params_(params) {
-  PX_ASSERT_MSG(params_.nranks >= 1 && params_.rank < params_.nranks,
-                "shm_transport: rank out of range");
+shm_transport::shm_transport(shm_params params)
+    : distributed_transport(params.rank, params.nranks,
+                            /*direct_batches=*/true),
+      params_(params),
+      peers_(params.nranks) {
   PX_ASSERT_MSG(params_.ring_bytes >= 4096 && params_.ring_bytes % 8 == 0,
                 "shm_transport: ring_bytes must be >= 4096 and 8-aligned");
   token_ = make_token(params_.rank);
-  init_peer_books(params_.nranks, params_.rank);
 
   own_db_seg_ =
       util::shm_segment::create(token_, sizeof(detail::shm_doorbell));
   own_db_ = new (own_db_seg_.data()) detail::shm_doorbell{};
   own_db_->magic = kDoorbellMagic;
 
-  peers_.resize(params_.nranks);
-  for (std::uint32_t r = 0; r < params_.nranks; ++r) {
-    peers_[r] = std::make_unique<peer>();
-    peers_[r]->rank = r;
-  }
   // The lower rank of each pair creates the segment *now*, pre-exchange,
   // named after its own token — the only name peers can derive from the
   // bootstrap table.
   for (std::uint32_t r = params_.rank + 1; r < params_.nranks; ++r) {
-    peer& p = *peers_[r];
+    peer& p = peers_[r];
     p.seg = util::shm_segment::create(pair_name(token_, r),
                                       pair_segment_bytes(params_.ring_bytes));
     auto* h = new (p.seg.data()) detail::shm_pair_hdr{};
@@ -147,27 +143,29 @@ shm_transport::shm_transport(shm_params params) : params_(params) {
     h->hi_rank = r;
     h->pids[0].store(static_cast<std::int32_t>(::getpid()),
                      std::memory_order_release);
-    p.hdr = h;
-    p.cap = params_.ring_bytes;
-    p.out = &h->rings[0];  // we are the lower rank
-    p.in = &h->rings[1];
-    p.out_data = pair_data(h, 0, p.cap);
-    p.in_data = pair_data(h, 1, p.cap);
-    p.ingest = whole_frame_ingest(params_.max_frame_bytes);
+    map_pair(p, h, 0);  // we are the lower rank
   }
   PX_LOG_INFO("shm transport up: rank %u/%u token %s (ring %zu B/dir)",
               params_.rank, params_.nranks, token_.c_str(),
               params_.ring_bytes);
 }
 
-std::string shm_transport::listen_address() const { return token_; }
+void shm_transport::map_pair(peer& p, detail::shm_pair_hdr* h, int out_dir) {
+  p.hdr = h;
+  p.cap = h->ring_bytes;
+  p.out = &h->rings[out_dir];
+  p.in = &h->rings[1 - out_dir];
+  p.out_data = pair_data(h, out_dir, p.cap);
+  p.in_data = pair_data(h, 1 - out_dir, p.cap);
+  p.ingest = whole_frame_ingest(params_.max_frame_bytes);
+}
 
 void shm_transport::connect_peers(const std::vector<std::string>& table) {
   PX_ASSERT_MSG(table.size() == static_cast<std::size_t>(params_.nranks),
                 "shm connect_peers: endpoint table size mismatch");
   for (std::uint32_t r = 0; r < params_.nranks; ++r) {
     if (r == params_.rank) continue;
-    peer& p = *peers_[r];
+    peer& p = peers_[r];
     if (r < params_.rank) {
       // We are the higher rank: attach to the peer's pre-created segment
       // and raise the flag that lets it retire the name.
@@ -177,13 +175,7 @@ void shm_transport::connect_peers(const std::vector<std::string>& table) {
       PX_ASSERT_MSG(h->magic == kPairMagic &&
                         h->lo_rank == r && h->hi_rank == params_.rank,
                     "shm connect_peers: pair segment header mismatch");
-      p.hdr = h;
-      p.cap = h->ring_bytes;
-      p.out = &h->rings[1];  // higher -> lower
-      p.in = &h->rings[0];
-      p.out_data = pair_data(h, 1, p.cap);
-      p.in_data = pair_data(h, 0, p.cap);
-      p.ingest = whole_frame_ingest(params_.max_frame_bytes);
+      map_pair(p, h, 1);  // higher -> lower
       h->pids[1].store(static_cast<std::int32_t>(::getpid()),
                        std::memory_order_release);
       h->attached.store(1, std::memory_order_release);
@@ -194,10 +186,9 @@ void shm_transport::connect_peers(const std::vector<std::string>& table) {
     PX_ASSERT_MSG(p.db->magic == kDoorbellMagic,
                   "shm connect_peers: doorbell segment header mismatch");
     p.db->attached.fetch_add(1, std::memory_order_acq_rel);
-    p.open.store(true, std::memory_order_release);
   }
 
-  progress_ = std::thread([this] { progress_loop(); });
+  start_progress();
 
   // Crash-safe unlink: once every name we created has an attacher, retire
   // it — from here the segments live exactly as long as their mappings.
@@ -205,7 +196,7 @@ void shm_transport::connect_peers(const std::vector<std::string>& table) {
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(params_.connect_timeout_ms);
   for (std::uint32_t r = params_.rank + 1; r < params_.nranks; ++r) {
-    peer& p = *peers_[r];
+    peer& p = peers_[r];
     while (p.hdr->attached.load(std::memory_order_acquire) == 0) {
       PX_ASSERT_MSG(std::chrono::steady_clock::now() < deadline,
                     "shm connect_peers: peer never attached pair segment");
@@ -225,52 +216,40 @@ void shm_transport::connect_peers(const std::vector<std::string>& table) {
 }
 
 shm_transport::~shm_transport() {
-  stopping_.store(true, std::memory_order_release);
-  if (progress_.joinable()) {
-    own_db_->seq.fetch_add(1, std::memory_order_seq_cst);
-    futex_wake_one(&own_db_->seq);
-    progress_.join();
-  }
+  stop_progress();
   // Announce closure on both directions of every link and wake the peers
   // so their progress threads notice without waiting for a probe.
-  for (auto& pp : peers_) {
-    if (pp == nullptr || pp->rank == params_.rank) continue;
-    peer& p = *pp;
-    if (p.out != nullptr) p.out->producer_closed.store(1, std::memory_order_release);
-    if (p.in != nullptr) p.in->consumer_closed.store(1, std::memory_order_release);
-    if (p.db != nullptr) ring_doorbell(p);
+  for (std::size_t r = 0; r < peers_.size(); ++r) {
+    if (r != params_.rank) close_channel(r);
   }
   // Mappings unmap via shm_segment RAII; any name that never saw an
   // attacher (a peer crashed during boot) is unlinked there too.
 }
 
-void shm_transport::set_handler(endpoint_id ep, handler h) {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm transport: only the local rank takes a handler");
-  PX_ASSERT_MSG(!traffic_started_.load(std::memory_order_acquire),
-                "shm transport: handler registration after traffic started");
-  handler_ = std::move(h);
-}
-
-void shm_transport::set_idle_callback(std::function<void()> cb) {
-  PX_ASSERT_MSG(!traffic_started_.load(std::memory_order_acquire),
-                "shm transport: idle callback set after traffic started");
-  idle_cb_ = std::move(cb);
-}
-
-bool shm_transport::ring_write(peer& p, const std::byte* data,
-                               std::size_t len, std::uint32_t units) {
+distributed_transport::write_status shm_transport::try_write(std::size_t rank,
+                                                             outgoing& o) {
+  peer& p = peers_[rank];
+  const std::size_t len = o.buf.size();
+  const std::size_t need = align8(kRecHdr + len);
+  if (need > p.cap / 2) {
+    // Larger than half the ring can wedge behind the wrap marker even on
+    // an empty ring; refuse loudly instead.
+    PX_LOG_WARN(
+        "shm send: frame of %zu bytes exceeds ring capacity %zu/2, "
+        "dropping %u parcels (raise PX_SHM_RING_BYTES)",
+        len, p.cap, o.units);
+    return write_status::refused;
+  }
   detail::shm_ring& r = *p.out;
   const std::size_t cap = p.cap;
   const std::uint64_t tail = r.tail.load(std::memory_order_relaxed);
-  const std::size_t need = align8(kRecHdr + len);
   const std::size_t pos = static_cast<std::size_t>(tail % cap);
   const std::size_t to_end = cap - pos;
   const bool wrap = need > to_end;
   const std::size_t total = wrap ? to_end + need : need;
   if (tail + total - p.cached_head > cap) {
     p.cached_head = r.head.load(std::memory_order_acquire);
-    if (tail + total - p.cached_head > cap) return false;
+    if (tail + total - p.cached_head > cap) return write_status::blocked;
   }
   auto* base = reinterpret_cast<std::uint8_t*>(p.out_data);
   std::size_t at = pos;
@@ -279,92 +258,30 @@ bool shm_transport::ring_write(peer& p, const std::byte* data,
     at = 0;
   }
   detail::put_u32(base + at, static_cast<std::uint32_t>(len));
-  detail::put_u32(base + at + 4, units);
-  std::memcpy(base + at + kRecHdr, data, len);
+  detail::put_u32(base + at + 4, o.units);
+  std::memcpy(base + at + kRecHdr, o.buf.data(), len);
   // Units join the in-flight books *before* the record becomes visible, so
   // the peer's consumed_units can never transiently exceed ring_units.
-  p.ring_units.fetch_add(units, std::memory_order_relaxed);
+  p.ring_units.fetch_add(o.units, std::memory_order_relaxed);
   r.tail.store(tail + total, std::memory_order_release);
-  return true;
+  ring_doorbell(p.db);
+  return write_status::done;
 }
 
-void shm_transport::ring_doorbell(peer& p) {
-  if (p.db == nullptr) return;
-  p.db->seq.fetch_add(1, std::memory_order_seq_cst);
-  if (p.db->sleeping.load(std::memory_order_seq_cst) != 0) {
-    futex_wake_one(&p.db->seq);
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void shm_transport::send(message m) {
-  PX_ASSERT_MSG(m.dest < params_.nranks && m.dest != params_.rank,
-                "shm send: dest must be a remote rank");
-  PX_ASSERT_MSG(m.source == params_.rank, "shm send: source must be self");
-  PX_ASSERT_MSG(m.units >= 1, "shm send: zero-unit message");
-  traffic_started_.store(true, std::memory_order_release);
-  const std::uint32_t units = m.units;
-  sent_total_.fetch_add(units, std::memory_order_release);
-  msgs_tx_.fetch_add(1, std::memory_order_relaxed);
-  parcels_tx_.fetch_add(units, std::memory_order_relaxed);
-  bytes_tx_.fetch_add(m.payload.size(), std::memory_order_relaxed);
-  account_sent(m.dest, units);
-
-  // Fault seam (PX_FAULT): an armed drop takes the whole batch before the
-  // record becomes visible to the peer; a kill never returns.
-  if (fault_drop_units(m.dest, units) > 0) {
-    dropped_total_.fetch_add(units, std::memory_order_release);
-    account_dropped(m.dest, units);
-    pool_.release(std::move(m.payload));
-    notify_if_drained();
-    return;
-  }
-
-  peer& p = *peers_[m.dest];
-  bool to_ring = false;
-  bool dropped = false;
-  bool oversize = false;
-  {
-    std::lock_guard lock(p.send_lock);
-    if (!p.open.load(std::memory_order_acquire)) {
-      dropped = true;
-    } else if (align8(kRecHdr + m.payload.size()) > p.cap / 2) {
-      // Larger than half the ring can wedge behind the wrap marker even
-      // on an empty ring; refuse loudly instead.
-      dropped = oversize = true;
-    } else if (p.pendq.empty() &&
-               ring_write(p, m.payload.data(), m.payload.size(), units)) {
-      to_ring = true;
-    } else {
-      // Ring full (or FIFO behind earlier overflow): park locally.  The
-      // peer's consumer bumps our doorbell as it frees space, and the
-      // progress thread replays the queue in order.
-      ring_full_waits_.fetch_add(1, std::memory_order_relaxed);
-      p.pend_units.fetch_add(units, std::memory_order_release);
-      p.pendq.push_back({std::move(m.payload), units});
-    }
-  }
-  if (to_ring) {
-    pool_.release(std::move(m.payload));
-    ring_doorbell(p);
-  } else if (dropped) {
-    dropped_total_.fetch_add(units, std::memory_order_release);
-    account_dropped(m.dest, units);
-    if (oversize) {
-      PX_LOG_WARN(
-          "shm send: frame of %zu bytes exceeds ring capacity %zu/2, "
-          "dropping %u parcels (raise PX_SHM_RING_BYTES)",
-          m.payload.size(), p.cap, units);
-    } else if (!disconnects_expected()) {
-      PX_LOG_WARN("shm send: peer %u link is down, dropping %u parcels",
-                  m.dest, units);
-    }
-    notify_if_drained();
+void shm_transport::ring_doorbell(detail::shm_doorbell* db) {
+  if (db == nullptr) return;
+  db->seq.fetch_add(1, std::memory_order_seq_cst);
+  if (db->sleeping.load(std::memory_order_seq_cst) != 0) {
+    futex_wake_one(&db->seq);
+    // The row counts wakes of peers; wake() rings our own doorbell.
+    if (db != own_db_) wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool shm_transport::pump_ring(peer& p) {
-  if (!p.open.load(std::memory_order_acquire) || p.in == nullptr) return false;
+void shm_transport::wake() { ring_doorbell(own_db_); }
+
+bool shm_transport::pump_in(std::size_t rank) {
+  peer& p = peers_[rank];
   detail::shm_ring& r = *p.in;
   const std::size_t cap = p.cap;
   auto* base = reinterpret_cast<const std::uint8_t*>(p.in_data);
@@ -383,283 +300,116 @@ bool shm_transport::pump_ring(peer& p) {
     const std::size_t need = align8(kRecHdr + len);
     if (need > cap - pos || head + need > tail ||
         len > params_.max_frame_bytes) {
-      close_peer(p, "corrupt record on shm ring");
+      close_peer(rank, "corrupt record on shm ring");
       return true;
     }
     const std::uint32_t rec_units = detail::get_u32(base + pos + 4);
-    auto buf = pool_.acquire();
+    auto buf = pool().acquire();
     buf.resize(len);
     std::memcpy(buf.data(), base + pos + kRecHdr, len);
     // Space frees the moment the copy lands — the producer can refill this
     // stretch while our handler is still running.
     head += need;
     r.head.store(head, std::memory_order_release);
-    bytes_rx_.fetch_add(len, std::memory_order_relaxed);
 
     // Whole-frame seam: no frame_assembler — one validation pass and the
     // frame goes straight to delivery.
     const auto count = p.ingest.accept(buf);
     if (!count.has_value()) {
-      pool_.release(std::move(buf));
-      close_peer(p, "garbage frame on shm ring (frame_view::parse rejected)");
+      pool().release(std::move(buf));
+      close_peer(rank,
+                 "garbage frame on shm ring (frame_view::parse rejected)");
       return true;
     }
-    if (*count > 0) {
-      PX_ASSERT_MSG(handler_ != nullptr, "shm rx: no handler registered");
-      message m;
-      m.source = p.rank;
-      m.dest = params_.rank;
-      m.units = *count;
-      m.payload = std::move(buf);
-      msgs_rx_.fetch_add(1, std::memory_order_relaxed);
-      handler_(m);
-      pool_.release(std::move(m.payload));
-      received_total_.fetch_add(*count, std::memory_order_release);
-      account_delivered(p.rank, *count);
-    } else {
-      pool_.release(std::move(buf));
-    }
+    deliver(rank, std::move(buf), *count);
     // After the handler: this is what makes the sender's in_flight() a
     // consumed-by-peer bound, per the transport contract.
     r.consumed_units.fetch_add(rec_units, std::memory_order_release);
     any = true;
   }
-  if (any) ring_doorbell(p);  // space freed + consumption progressed
-  if (!p.eof_noted && r.producer_closed.load(std::memory_order_acquire) != 0 &&
+  if (any) ring_doorbell(p.db);  // space freed + consumption progressed
+  // The peer's closed flags: same verdict rules as a tcp EOF — orderly iff
+  // disconnects were announced, otherwise a death.  A closed producer
+  // side counts only once its ring is drained.
+  if (r.producer_closed.load(std::memory_order_acquire) != 0 &&
       head == r.tail.load(std::memory_order_acquire)) {
-    // Producer-side EOF with the ring drained: same verdict rules as a tcp
-    // EOF — orderly iff disconnects were announced, otherwise the close
-    // routes through the shared death books (note_peer_closed).
-    p.eof_noted = true;
-    const bool expected = disconnects_expected() ||
-                          stopping_.load(std::memory_order_acquire);
-    close_peer(p, expected ? nullptr : "peer closed its producer side");
+    close_peer(rank, unless_expected("peer closed its producer side"));
+  } else if (p.out->consumer_closed.load(std::memory_order_acquire) != 0) {
+    close_peer(rank, unless_expected("peer closed its consumer side"));
   }
   return any;
 }
 
-bool shm_transport::pump_pend(peer& p) {
-  if (!p.open.load(std::memory_order_acquire)) return false;
-  bool any = false;
-  std::lock_guard lock(p.send_lock);
-  while (!p.pendq.empty()) {
-    auto& o = p.pendq.front();
-    if (!ring_write(p, o.buf.data(), o.buf.size(), o.units)) break;
-    p.pend_units.fetch_sub(o.units, std::memory_order_release);
-    pool_.release(std::move(o.buf));
-    p.pendq.pop_front();
-    any = true;
-  }
-  return any;
+std::uint64_t shm_transport::unconsumed_units(
+    std::size_t rank) const noexcept {
+  const peer& p = peers_[rank];
+  const std::uint64_t rung = p.ring_units.load(std::memory_order_acquire);
+  const std::uint64_t consumed =
+      p.out->consumed_units.load(std::memory_order_acquire);
+  return rung > consumed ? rung - consumed : 0;
 }
 
-void shm_transport::close_peer(peer& p, const char* why) {
-  if (!p.open.exchange(false, std::memory_order_acq_rel)) return;
-  if (why != nullptr) {
-    PX_LOG_WARN("shm transport rank %u: closing link to peer %u (%s)",
-                params_.rank, p.rank, why);
-  }
+void shm_transport::close_channel(std::size_t rank) {
+  peer& p = peers_[rank];
   if (p.in != nullptr) p.in->consumer_closed.store(1, std::memory_order_release);
   if (p.out != nullptr) p.out->producer_closed.store(1, std::memory_order_release);
-  std::uint64_t orphaned = 0;
-  {
-    std::lock_guard lock(p.send_lock);
-    for (const auto& o : p.pendq) orphaned += o.units;
-    p.pendq.clear();
-    p.pend_units.store(0, std::memory_order_release);
-  }
-  if (why == nullptr) {
-    // Orderly close: ring-resident units the peer will never (verifiably)
-    // consume retire into the dropped books so conservation stays
-    // satisfiable without a death verdict.
-    const std::uint64_t rung = p.ring_units.load(std::memory_order_acquire);
-    const std::uint64_t consumed =
-        p.out != nullptr ? p.out->consumed_units.load(std::memory_order_acquire)
-                         : 0;
-    orphaned += rung > consumed ? rung - consumed : 0;
-    if (orphaned > 0) {
-      dropped_total_.fetch_add(orphaned, std::memory_order_release);
-      account_dropped(p.rank, orphaned);
-    }
-  }
-  // Unexpected close: leave the outstanding column intact — the shared
-  // death fold (note_peer_closed) charges everything sent-minus-dropped as
-  // lost, the same conservative verdict tcp reaches.  Splitting consumed
-  // vs unconsumed units here would make parcels_lost race with how far the
-  // casualty's consumer got before dying.
-  ring_doorbell(p);
-  notify_if_drained();
-  // Shared disconnect books last, with no locks held: orderly closes are
-  // counted, unexpected ones become a death verdict (and may re-enter the
-  // transport through the peer-death handler).
-  note_peer_closed(p.rank, why == nullptr);
+  ring_doorbell(p.db);
 }
 
-std::uint64_t shm_transport::in_flight() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& pp : peers_) {
-    if (pp == nullptr || pp->rank == params_.rank) continue;
-    const peer& p = *pp;
-    if (!p.open.load(std::memory_order_acquire)) continue;
-    const std::uint64_t rung = p.ring_units.load(std::memory_order_acquire);
-    const std::uint64_t consumed =
-        p.out != nullptr
-            ? p.out->consumed_units.load(std::memory_order_acquire)
-            : 0;
-    total += rung > consumed ? rung - consumed : 0;
-    total += p.pend_units.load(std::memory_order_acquire);
-  }
-  return total;
-}
-
-void shm_transport::notify_if_drained() {
-  if (in_flight() == 0) {
-    std::lock_guard lock(drain_mutex_);
-    drained_cv_.notify_all();
-  }
-}
-
-void shm_transport::drain() {
-  std::unique_lock lock(drain_mutex_);
-  while (in_flight() != 0) {
-    // Notified by the progress thread on the zero transition; the timeout
-    // is a belt-and-braces bound, not the mechanism.
-    drained_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-}
-
-void shm_transport::close_link(std::size_t rank) {
-  // External death verdict (heartbeat lease, px.peer_down): the progress
-  // thread owns peer state, so park the request and wake it.
-  pending_dead_.fetch_or(1ull << rank, std::memory_order_acq_rel);
-  own_db_->seq.fetch_add(1, std::memory_order_seq_cst);
-  futex_wake_one(&own_db_->seq);
-}
-
-void shm_transport::progress_loop() {
+distributed_transport::ready_links shm_transport::wait(bool idle) {
   using clock = std::chrono::steady_clock;
-  auto last_probe = clock::now();
-  for (;;) {
-    const std::uint32_t seq = own_db_->seq.load(std::memory_order_acquire);
-    const std::uint64_t doomed =
-        pending_dead_.exchange(0, std::memory_order_acq_rel);
-    if (doomed != 0) {
-      for (std::uint32_t r = 0; r < params_.nranks; ++r) {
-        if (((doomed >> r) & 1u) == 0 || r == params_.rank) continue;
-        close_peer(*peers_[r], "peer declared dead by the control plane");
-      }
-    }
-    bool did = false;
-    for (auto& pp : peers_) {
-      peer& p = *pp;
-      if (p.rank == params_.rank) continue;
-      did |= pump_ring(p);
-      if (pump_pend(p)) {
-        ring_doorbell(p);
-        did = true;
-      }
-      if (p.open.load(std::memory_order_acquire) && p.out != nullptr &&
-          p.out->consumer_closed.load(std::memory_order_acquire) != 0) {
-        const bool expected = disconnects_expected() ||
-                              stopping_.load(std::memory_order_acquire);
-        close_peer(p, expected ? nullptr : "peer closed its consumer side");
-      }
-    }
-    notify_if_drained();
-    if (stopping_.load(std::memory_order_acquire) && in_flight() == 0) return;
-    if (did) continue;
-
+  ready_links ready{~0ull, ~0ull, false};  // every link, every pass
+  if (idle) {
     const auto now = clock::now();
-    if (now - last_probe > std::chrono::milliseconds(100)) {
-      last_probe = now;
-      for (auto& pp : peers_) {
-        peer& p = *pp;
-        if (p.rank == params_.rank ||
-            !p.open.load(std::memory_order_acquire) || p.hdr == nullptr) {
-          continue;
-        }
-        const int slot = p.rank > params_.rank ? 1 : 0;
-        const auto pid = p.hdr->pids[slot].load(std::memory_order_acquire);
+    if (now - last_probe_ > std::chrono::milliseconds(100)) {
+      last_probe_ = now;
+      for (std::size_t r = 0; r < peers_.size(); ++r) {
+        if (!link_open(r)) continue;
+        const int slot = r > params_.rank ? 1 : 0;
+        const auto pid =
+            peers_[r].hdr->pids[slot].load(std::memory_order_acquire);
         if (pid != 0 && ::kill(pid, 0) == -1 && errno == ESRCH) {
-          close_peer(p, "peer process died");
+          close_peer(r, "peer process died");
         }
       }
     }
-
     // Spin window: zero syscalls while both sides stay hot.
     const auto spin_deadline = now + std::chrono::microseconds(params_.spin_us);
     bool rung = false;
     while (clock::now() < spin_deadline) {
-      if (own_db_->seq.load(std::memory_order_acquire) != seq ||
-          stopping_.load(std::memory_order_relaxed)) {
+      if (own_db_->seq.load(std::memory_order_acquire) != seq_) {
         rung = true;
         break;
       }
       util::cpu_relax();
     }
-    if (rung) continue;
-
-    // Dekker handoff: publish intent, re-check, then sleep.  A sender that
-    // bumped seq after our load either sees `sleeping` (and wakes us) or
-    // raced our re-check — in which case futex_wait returns EAGAIN on the
-    // stale value.  Either way no wakeup is lost.
-    own_db_->sleeping.store(1, std::memory_order_seq_cst);
-    bool work = own_db_->seq.load(std::memory_order_seq_cst) != seq ||
-                stopping_.load(std::memory_order_acquire);
-    if (!work) {
-      for (const auto& pp : peers_) {
-        const peer& p = *pp;
-        if (p.rank == params_.rank ||
-            !p.open.load(std::memory_order_acquire) || p.in == nullptr) {
-          continue;
-        }
-        if (p.in->tail.load(std::memory_order_acquire) !=
-            p.in->head.load(std::memory_order_relaxed)) {
-          work = true;
-          break;
-        }
+    if (!rung) {
+      // Dekker handoff: publish intent, re-check, then sleep.  A sender
+      // that bumped seq after our load either sees `sleeping` (and wakes
+      // us) or raced our re-check — in which case futex_wait returns
+      // EAGAIN on the stale value.  Either way no wakeup is lost.
+      own_db_->sleeping.store(1, std::memory_order_seq_cst);
+      bool work = own_db_->seq.load(std::memory_order_seq_cst) != seq_;
+      for (std::size_t r = 0; !work && r < peers_.size(); ++r) {
+        work = link_open(r) &&
+               peers_[r].in->tail.load(std::memory_order_acquire) !=
+                   peers_[r].in->head.load(std::memory_order_relaxed);
       }
+      if (!work) {
+        const int rc = futex_wait(&own_db_->seq, seq_, 1'000'000 /* 1ms */);
+        ready.timed_out = rc != 0 && errno == ETIMEDOUT;
+      }
+      own_db_->sleeping.store(0, std::memory_order_seq_cst);
     }
-    if (!work) {
-      const int rc = futex_wait(&own_db_->seq, seq, 1'000'000 /* 1ms */);
-      if (rc != 0 && errno == ETIMEDOUT && idle_cb_) idle_cb_();
-    }
-    own_db_->sleeping.store(0, std::memory_order_seq_cst);
   }
+  // The next pass starts from this count: any event after it rings again.
+  seq_ = own_db_->seq.load(std::memory_order_acquire);
+  return ready;
 }
 
-endpoint_stats shm_transport::stats(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm stats: remote ranks keep their own books");
-  endpoint_stats out;
-  out.messages_sent = msgs_tx_.load(std::memory_order_relaxed);
-  out.parcels_sent = parcels_tx_.load(std::memory_order_relaxed);
-  out.messages_received = msgs_rx_.load(std::memory_order_relaxed);
-  out.bytes_sent = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_received = bytes_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
-link_counters shm_transport::link(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm link: remote ranks keep their own books");
-  link_counters out;
-  out.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  out.msgs_tx = msgs_tx_.load(std::memory_order_relaxed);
-  out.msgs_rx = msgs_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<extra_link_counter> shm_transport::extra_link_counters(
-    endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm link: remote ranks keep their own books");
-  return {{"ring_full_waits",
-           ring_full_waits_.load(std::memory_order_relaxed)},
-          {"wakeups", wakeups_.load(std::memory_order_relaxed)},
-          {"peer_failed", peers_failed_total()},
-          {"parcels_lost", parcels_lost_total()}};
+std::vector<extra_link_counter> shm_transport::channel_counters() const {
+  return {{"ring_full_waits", queued_frames()},
+          {"wakeups", wakeups_.load(std::memory_order_relaxed)}};
 }
 
 }  // namespace px::net

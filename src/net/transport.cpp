@@ -1,5 +1,7 @@
 #include "net/transport.hpp"
 
+#include <chrono>
+
 #include "net/socket_util.hpp"
 #include "parcel/parcel.hpp"
 #include "util/assert.hpp"
@@ -12,49 +14,295 @@ namespace px::net {
 transport::~transport() = default;
 distributed_transport::~distributed_transport() = default;
 
-void distributed_transport::init_peer_books(std::size_t nranks,
-                                            std::size_t self) {
+link_counters transport::link(endpoint_id ep) const {
+  const endpoint_stats st = stats(ep);
+  return {st.bytes_sent, st.bytes_received, st.messages_sent,
+          st.messages_received};
+}
+
+distributed_transport::distributed_transport(std::uint32_t rank,
+                                             std::uint32_t nranks,
+                                             bool direct_batches)
+    : self_rank_(rank),
+      direct_batches_(direct_batches),
+      links_(nranks),
+      units_to_(nranks),
+      units_from_(nranks),
+      dropped_to_(nranks) {
+  PX_ASSERT_MSG(rank < nranks, "transport: rank out of range");
   PX_ASSERT_MSG(nranks <= 64, "peer ledger caps the machine at 64 ranks");
-  self_rank_ = self;
-  units_to_ = std::vector<std::atomic<std::uint64_t>>(nranks);
-  units_from_ = std::vector<std::atomic<std::uint64_t>>(nranks);
-  dropped_to_ = std::vector<std::atomic<std::uint64_t>>(nranks);
 }
 
-void distributed_transport::account_sent(std::size_t rank,
-                                         std::uint64_t units) noexcept {
-  if (rank < units_to_.size()) units_to_[rank].fetch_add(units);
+void distributed_transport::set_handler(endpoint_id ep, handler h) {
+  PX_ASSERT_MSG(ep == self_rank_,
+                "transport: only this process's rank takes a handler");
+  PX_ASSERT_MSG(!traffic_started_.load(std::memory_order_acquire),
+                "set_handler after traffic started");
+  handler_ = std::move(h);
 }
 
-void distributed_transport::account_delivered(std::size_t rank,
-                                              std::uint64_t units) noexcept {
-  if (rank < units_from_.size()) units_from_[rank].fetch_add(units);
+void distributed_transport::set_idle_callback(std::function<void()> cb) {
+  PX_ASSERT_MSG(!traffic_started_.load(std::memory_order_acquire),
+                "set_idle_callback after traffic started");
+  idle_cb_ = std::move(cb);
 }
 
-void distributed_transport::account_dropped(std::size_t rank,
-                                            std::uint64_t units) noexcept {
-  if (rank < dropped_to_.size()) dropped_to_[rank].fetch_add(units);
+void distributed_transport::send(message m) {
+  PX_ASSERT_MSG(m.dest < links_.size() && m.dest != self_rank_,
+                "send: dest must be a remote rank");
+  PX_ASSERT_MSG(m.source == self_rank_, "send: source must be this rank");
+  PX_ASSERT(m.units >= 1);
+  if (!traffic_started_.load(std::memory_order_relaxed)) {
+    traffic_started_.store(true, std::memory_order_release);
+  }
+  const std::uint32_t units = m.units;
+  sent_total_.fetch_add(units, std::memory_order_acq_rel);
+  units_to_[m.dest].fetch_add(units);
+  if (fault_ != nullptr && fault_->on_send(m.dest, units) > 0) {
+    // Injected drop (PX_FAULT): the units retire into the conservation
+    // books exactly like a dead-link drop, so quiescence still balances.
+    drop(m.dest, units);
+    pool_.release(std::move(m.payload));
+    return;
+  }
+  msgs_tx_.fetch_add(1, std::memory_order_relaxed);
+  parcels_tx_.fetch_add(units, std::memory_order_relaxed);
+  bytes_tx_.fetch_add(m.payload.size(), std::memory_order_relaxed);
+
+  peer_link& l = links_[m.dest];
+  outgoing o{std::move(m.payload), 0, units};
+  write_status st = write_status::broken;  // until the link reads open
+  bool queued = false;
+  {
+    std::lock_guard lock(l.send_lock);
+    if (l.open.load(std::memory_order_relaxed)) {
+      st = write_status::blocked;
+      if (l.sendq.empty() && (direct_batches_ || !m.batch)) {
+        // Empty queue: try the channel now.  The lock keeps byte order
+        // (the progress thread writes only a frame still queued) and the
+        // channel alive (close_peer clears `open` under it first).
+        st = try_write(m.dest, o);
+      }
+      if (st == write_status::blocked || st == write_status::broken) {
+        // The rest waits its turn; a broken channel is met again, and
+        // closed, by the progress thread.
+        l.sendq.push_back(std::move(o));
+        l.queued_units.fetch_add(units, std::memory_order_release);
+        queued = true;
+      }
+    }
+  }
+  if (queued) {
+    queued_frames_.fetch_add(1, std::memory_order_relaxed);
+    wake();
+    return;
+  }
+  if (st == write_status::done) {
+    direct_frames_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Refused by the channel (it said why), or a dead link mid-run: drop,
+    // with the drop recorded so the quiescence books stay balanced,
+    // rather than wedge every drain() forever.
+    drop(m.dest, units);
+    if (st == write_status::broken && !disconnects_expected()) {
+      PX_LOG_WARN("%s send: peer %u link is down, dropping %u parcels",
+                  backend_name(), m.dest, units);
+    }
+  }
+  pool_.release(std::move(o.buf));
 }
 
-std::uint64_t distributed_transport::fault_drop_units(
-    std::size_t rank, std::uint64_t units) noexcept {
-  if (fault_ == nullptr) return 0;
-  return fault_->on_send(rank, units);
+bool distributed_transport::pump_out(std::size_t rank) {
+  peer_link& l = links_[rank];
+  bool any = false;
+  for (;;) {
+    outgoing* front = nullptr;
+    {
+      std::lock_guard lock(l.send_lock);
+      if (l.sendq.empty()) return any;
+      front = &l.sendq.front();  // deque: push_back never moves the front
+    }
+    const write_status st = try_write(rank, *front);
+    if (st == write_status::blocked) return any;
+    if (st == write_status::broken) {
+      close_peer(rank, unless_expected("send error"));
+      return any;
+    }
+    const std::uint32_t units = front->units;
+    std::vector<std::byte> done = std::move(front->buf);
+    if (st == write_status::refused) drop(rank, units);
+    {
+      std::lock_guard lock(l.send_lock);
+      l.sendq.pop_front();
+      l.queued_units.fetch_sub(units, std::memory_order_release);
+    }
+    pool_.release(std::move(done));
+    notify_if_drained();
+    any = true;
+  }
 }
 
-std::uint64_t distributed_transport::units_sent_to(
-    std::size_t rank) const noexcept {
-  return rank < units_to_.size() ? units_to_[rank].load() : 0;
+void distributed_transport::drop(std::size_t rank,
+                                 std::uint64_t units) noexcept {
+  dropped_total_.fetch_add(units, std::memory_order_acq_rel);
+  dropped_to_[rank].fetch_add(units);
 }
 
-std::uint64_t distributed_transport::units_received_from(
-    std::size_t rank) const noexcept {
-  return rank < units_from_.size() ? units_from_[rank].load() : 0;
+void distributed_transport::notify_if_drained() {
+  // Dekker with drain(): a waiter counts itself in before it reads
+  // in_flight(), and every caller reads the count after the books
+  // changed, so one side always sees the other.
+  if (drain_waiters_.load(std::memory_order_seq_cst) != 0 &&
+      in_flight() == 0) {
+    { std::lock_guard lock(drain_mutex_); }
+    drained_cv_.notify_all();
+  }
 }
 
-std::uint64_t distributed_transport::units_dropped_to(
-    std::size_t rank) const noexcept {
-  return rank < dropped_to_.size() ? dropped_to_[rank].load() : 0;
+void distributed_transport::drain() {
+  std::unique_lock lock(drain_mutex_);
+  drain_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  while (in_flight() != 0) {
+    // The progress thread notifies once it sees in_flight() reach 0; the
+    // timeout bounds a notification the channel can only poll for.
+    drained_cv_.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  drain_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+std::uint64_t distributed_transport::in_flight() const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    total += links_[r].queued_units.load(std::memory_order_acquire);
+    if (link_open(r)) total += unconsumed_units(r);
+  }
+  return total;
+}
+
+void distributed_transport::deliver(std::size_t rank,
+                                    std::vector<std::byte>&& frame,
+                                    std::uint32_t units) {
+  bytes_rx_.fetch_add(frame.size(), std::memory_order_relaxed);
+  if (units == 0) {  // empty frame: nothing to deliver
+    pool_.release(std::move(frame));
+    return;
+  }
+  message m;
+  m.source = static_cast<endpoint_id>(rank);
+  m.dest = self_rank_;
+  m.units = units;
+  m.payload = std::move(frame);
+  msgs_rx_.fetch_add(1, std::memory_order_relaxed);
+  handler_(m);
+  if (m.payload.capacity() > 0) pool_.release(std::move(m.payload));
+  // Counted only after the handler returned: "delivered" in the
+  // distributed quiescence books means the parcels' local effects
+  // (thread spawns, counter bumps) are already visible.
+  received_total_.fetch_add(units, std::memory_order_acq_rel);
+  units_from_[rank].fetch_add(units);
+}
+
+const char* distributed_transport::unless_expected(
+    const char* why) const noexcept {
+  return stopping_.load(std::memory_order_acquire) || disconnects_expected()
+             ? nullptr
+             : why;
+}
+
+void distributed_transport::close_peer(std::size_t rank, const char* why) {
+  peer_link& l = links_[rank];
+  std::uint64_t orphaned = 0;
+  {
+    std::lock_guard lock(l.send_lock);
+    if (!l.open.load(std::memory_order_relaxed)) return;
+    l.open.store(false, std::memory_order_release);
+    for (const outgoing& o : l.sendq) orphaned += o.units;
+    l.sendq.clear();
+  }
+  if (why != nullptr) {
+    PX_LOG_WARN("%s transport rank %u: closing link to peer %zu (%s)",
+                backend_name(), self_rank_, rank, why);
+  }
+  // An orderly close also retires the units the peer will never
+  // (verifiably) consume, so conservation stays satisfiable without a
+  // death verdict.  An unexpected close leaves them in the outstanding
+  // column: the death fold charges everything sent-minus-dropped as lost,
+  // whatever the casualty's consumer got to before dying.
+  const std::uint64_t unconsumed = why == nullptr ? unconsumed_units(rank) : 0;
+  close_channel(rank);
+  // Unsendable parcels must leave both the in-flight books (or drain()
+  // wedges) and the quiescence sent balance (or quiesce rounds spin).
+  if (orphaned + unconsumed > 0) drop(rank, orphaned + unconsumed);
+  l.queued_units.store(0, std::memory_order_release);  // no sender queues now
+  notify_if_drained();
+  note_peer_closed(rank, why == nullptr);
+}
+
+void distributed_transport::start_progress() {
+  PX_ASSERT_MSG(!progress_.joinable(), "transport: mesh already up");
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    if (r != self_rank_) links_[r].open.store(true, std::memory_order_release);
+  }
+  progress_ = std::thread([this] { progress_loop(); });
+}
+
+void distributed_transport::stop_progress() {
+  stopping_.store(true, std::memory_order_release);
+  if (progress_.joinable()) {
+    wake();
+    progress_.join();
+  }
+}
+
+void distributed_transport::progress_loop() {
+  bool idle = false;
+  for (;;) {
+    const ready_links ready = wait(idle);
+    if (ready.timed_out && idle_cb_) idle_cb_();
+    // External death verdicts (mark_peer_dead) land here, so every link
+    // close runs on the progress thread.
+    const std::uint64_t doomed =
+        pending_dead_.load(std::memory_order_relaxed) != 0
+            ? pending_dead_.exchange(0, std::memory_order_acq_rel)
+            : 0;
+    for (std::size_t r = 0; doomed != 0 && r < links_.size(); ++r) {
+      if ((doomed >> r) & 1u) {
+        close_peer(r, "peer declared dead by the control plane");
+      }
+    }
+    bool did = false;
+    for (std::size_t r = 0; r < links_.size(); ++r) {
+      // A pump may close its link, so `open` is read before each.
+      if (((ready.in >> r) & 1u) && link_open(r)) did |= pump_in(r);
+      if (((ready.out >> r) & 1u) && link_open(r)) did |= pump_out(r);
+    }
+    notify_if_drained();
+    if (stopping_.load(std::memory_order_acquire) && in_flight() == 0) {
+      return;  // every accepted parcel left this process: graceful drain
+    }
+    idle = !did;
+  }
+}
+
+endpoint_stats distributed_transport::stats(endpoint_id ep) const {
+  PX_ASSERT_MSG(ep == self_rank_, "stats: remote ranks keep their own books");
+  endpoint_stats out;
+  out.messages_sent = msgs_tx_.load(std::memory_order_relaxed);
+  out.parcels_sent = parcels_tx_.load(std::memory_order_relaxed);
+  out.messages_received = msgs_rx_.load(std::memory_order_relaxed);
+  out.bytes_sent = bytes_tx_.load(std::memory_order_relaxed);
+  out.bytes_received = bytes_rx_.load(std::memory_order_relaxed);
+  return out;
+}
+
+std::vector<extra_link_counter> distributed_transport::extra_link_counters(
+    endpoint_id ep) const {
+  PX_ASSERT_MSG(ep == self_rank_,
+                "link rows: remote ranks keep their own books");
+  auto rows = channel_counters();
+  rows.push_back({"peer_failed", peers_failed_total()});
+  rows.push_back({"parcels_lost", parcels_lost_total()});
+  return rows;
 }
 
 std::uint64_t distributed_transport::live_units_sent(
@@ -82,7 +330,8 @@ std::uint64_t distributed_transport::live_units_received(
 void distributed_transport::mark_peer_dead(std::size_t rank) noexcept {
   if (rank >= units_to_.size() || rank == self_rank_) return;
   if (peer_confirmed_dead(rank)) return;  // verdict already landed
-  close_link(rank);
+  pending_dead_.fetch_or(1ull << rank, std::memory_order_acq_rel);
+  wake();
 }
 
 void distributed_transport::note_peer_closed(std::size_t rank, bool orderly) {

@@ -25,14 +25,19 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/buffer_pool.hpp"
+#include "util/spinlock.hpp"
 
 namespace px::util {
 class fault_injector;
@@ -140,18 +145,9 @@ class transport {
 
   virtual std::size_t endpoints() const noexcept = 0;
   virtual endpoint_stats stats(endpoint_id ep) const = 0;
-  virtual link_counters link(endpoint_id ep) const = 0;
+  // stats(ep) in the runtime/loc<i>/net/* shape.
+  link_counters link(endpoint_id ep) const;
   virtual const char* backend_name() const noexcept = 0;
-
-  // Whole-frame delivery seam.  A byte-stream backend (TCP) hands the
-  // receive path arbitrary fragments and needs parcel::frame_assembler to
-  // cut frames back out; a message-oriented backend (shm rings today, an
-  // ibverbs/libfabric RECV completion tomorrow) delivers complete frames
-  // and must skip reassembly entirely — its receive path validates each
-  // frame through whole_frame_ingest below and hands it straight to the
-  // handler.  The flag is advisory for introspection/tests; the backend
-  // itself owns acting on it.
-  virtual bool whole_frame_delivery() const noexcept { return false; }
 
   // Backend-specific counter rows for endpoint `ep` (empty by default).
   // Names must be stable across the run; the runtime registers one
@@ -163,14 +159,16 @@ class transport {
   }
 };
 
-// Validation gate for whole-frame backends: the frame_assembler bypass
-// must not also bypass its safety properties.  accept() runs the same
-// checks the assembler applies to a cut frame — bounded size, then a full
-// frame_view::parse walk (magic, count, every record length, every parcel
-// header) — and returns the frame's record count on success.  Any
-// rejection poisons the ingest permanently (the assembler's
-// poison-don't-resync stance: a corrupt shared-memory ring has no
-// trustworthy next message), and the owner must tear the link down.
+// Validation gate for whole-frame channels (shm rings today, an
+// ibverbs/libfabric RECV completion tomorrow), which skip
+// parcel::frame_assembler: the bypass must not also bypass its safety
+// properties.  accept() runs the same checks the assembler applies to a
+// cut frame — bounded size, then a full frame_view::parse walk (magic,
+// count, every record length, every parcel header) — and returns the
+// frame's record count on success.  Any rejection poisons the ingest
+// permanently (the assembler's poison-don't-resync stance: a corrupt
+// shared-memory ring has no trustworthy next message), and the owner must
+// tear the link down.
 class whole_frame_ingest {
  public:
   explicit whole_frame_ingest(std::size_t max_frame_bytes = 64u << 20)
@@ -187,22 +185,30 @@ class whole_frame_ingest {
   bool poisoned_ = false;
 };
 
-// Contract extensions shared by every multi-process backend (tcp, shm, a
-// future RDMA transport) and consumed by the runtime's distributed boot
-// and quiescence machinery.  The fabric is not one of these — it models a
-// whole machine in one process.
-//
-// The base class owns the *peer ledger*: per-peer unit books (sent to /
-// received from / dropped toward each rank), the orderly-vs-unexpected
-// disconnect accounting, and the `mark_peer_dead` seam every death source
-// funnels through — a tcp EOF mid-run, the shm pid probe or closed flag,
-// and the bootstrap lease expiry all land in the same books, so both
-// backends report rank loss identically (docs/resilience.md).  A backend's
-// job is reduced to (a) calling account_sent/account_delivered/
-// account_dropped next to its own counters, (b) routing every peer-close
-// through note_peer_closed, and (c) implementing close_link() so an
-// external death verdict tears the link down and folds its outstanding
-// units into the dropped books.
+// The link engine of every multi-process backend (tcp, shm, a future RDMA
+// transport; not the fabric, which models a whole machine in one process).
+// It owns, once for every backend:
+//   * send(): asserts, counters, per-peer books, the PX_FAULT and
+//     dead-link drops, and one rule — a frame to a peer whose send queue
+//     is empty goes to try_write() from the sending thread, under the
+//     peer's send lock; the rest waits in the queue, in order, for the
+//     progress thread.  With direct_batches == false (tcp), batch frames
+//     always queue;
+//   * in_flight() and drain(): queued units plus, per open link, the
+//     channel's unconsumed_units();
+//   * the peer ledger: per-peer unit books, the orderly-vs-unexpected
+//     disconnect accounting, and the mark_peer_dead seam every death
+//     source funnels through (tcp EOF, shm pid probe or closed flag, the
+//     bootstrap lease), so both backends report rank loss identically
+//     (docs/resilience.md);
+//   * close_peer(), the one close routine, and the progress thread: fold
+//     pending death verdicts, wait() for ready links, pump_in() the
+//     readable, write the queues of the writable, wake drain() waiters,
+//     run the idle callback after a wait that timed out, and exit once
+//     stopping with nothing in flight.
+// A backend supplies its ctor, listen_address(), connect_peers() (ending
+// in start_progress()), a dtor that begins with stop_progress(), and the
+// channel hooks below.
 class distributed_transport : public transport {
  public:
   ~distributed_transport() override;  // key function (transport.cpp)
@@ -216,15 +222,46 @@ class distributed_transport : public transport {
   // endpoint table (index == rank) and starts the progress thread.
   virtual void connect_peers(const std::vector<std::string>& table) = 0;
 
+  // ------------------------------------------------- transport interface
+
+  // Only this process's own rank takes a handler or has stats.
+  void set_handler(endpoint_id ep, handler h) final;
+  void set_idle_callback(std::function<void()> cb) final;
+  void send(message m) final;
+  void drain() final;
+  std::uint64_t in_flight() const noexcept final;
+  std::uint64_t messages_sent_total() const noexcept final {
+    return sent_total_.load(std::memory_order_acquire);
+  }
+  util::buffer_pool& pool() noexcept final { return pool_; }
+  std::size_t endpoints() const noexcept final { return links_.size(); }
+  endpoint_stats stats(endpoint_id ep) const final;
+  // channel_counters(), then peer_failed and parcels_lost.
+  std::vector<extra_link_counter> extra_link_counters(
+      endpoint_id ep) const final;
+
   // Units fully delivered to this process's handler / units this process
-  // dropped (dead link, oversize): inputs to the machine-wide parcel
-  // conservation identity in runtime::wait_quiescent.
-  virtual std::uint64_t parcels_received_total() const noexcept = 0;
-  virtual std::uint64_t parcels_dropped_total() const noexcept = 0;
+  // dropped (dead link, refused frame, PX_FAULT): inputs to the
+  // machine-wide parcel conservation identity in runtime::wait_quiescent.
+  std::uint64_t parcels_received_total() const noexcept {
+    return received_total_.load(std::memory_order_acquire);
+  }
+  std::uint64_t parcels_dropped_total() const noexcept {
+    return dropped_total_.load(std::memory_order_acquire);
+  }
+
+  // Frames send() put into the channel itself / parked in a send queue
+  // (tcp publishes the first as direct_sends, shm the second as
+  // ring_full_waits).
+  std::uint64_t direct_frames() const noexcept {
+    return direct_frames_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t queued_frames() const noexcept {
+    return queued_frames_.load(std::memory_order_relaxed);
+  }
 
   // Arms orderly-shutdown mode: subsequent peer EOFs/closures are expected
-  // teardown, not anomalies worth a warning.  Both backends consult this
-  // shared flag (it used to be consulted only on the tcp EOF path).
+  // teardown, not deaths.
   void expect_peer_disconnects() noexcept { closing_.store(true); }
   bool disconnects_expected() const noexcept { return closing_.load(); }
 
@@ -233,12 +270,12 @@ class distributed_transport : public transport {
   // External death verdict (bootstrap lease expiry, px.peer_down from a
   // peer): tear down the link to `rank` and fold its outstanding units
   // into the conservation books.  Idempotent; thread-safe; the actual
-  // close runs on the backend's progress thread.
+  // close runs on the progress thread.
   void mark_peer_dead(std::size_t rank) noexcept;
 
   // Called once per confirmed-dead peer, after the link is closed and the
-  // books folded.  Runs on the backend's progress thread; must not block.
-  // Must be installed before connect_peers().
+  // books folded.  Runs on the progress thread; must not block.  Must be
+  // installed before connect_peers().
   void set_peer_death_handler(std::function<void(std::size_t)> h) {
     on_peer_death_ = std::move(h);
   }
@@ -277,9 +314,15 @@ class distributed_transport : public transport {
   }
 
   // Per-peer unit books (index == rank; the self row stays zero).
-  std::uint64_t units_sent_to(std::size_t rank) const noexcept;
-  std::uint64_t units_received_from(std::size_t rank) const noexcept;
-  std::uint64_t units_dropped_to(std::size_t rank) const noexcept;
+  std::uint64_t units_sent_to(std::size_t r) const noexcept {
+    return r < units_to_.size() ? units_to_[r].load() : 0;
+  }
+  std::uint64_t units_received_from(std::size_t r) const noexcept {
+    return r < units_from_.size() ? units_from_[r].load() : 0;
+  }
+  std::uint64_t units_dropped_to(std::size_t r) const noexcept {
+    return r < dropped_to_.size() ? dropped_to_[r].load() : 0;
+  }
 
   // The reduced-membership quiescence ledger: units on the wire toward /
   // received from peers *not* in `dead_mask` — the casualty's column
@@ -289,33 +332,137 @@ class distributed_transport : public transport {
   std::uint64_t live_units_received(std::uint64_t dead_mask) const noexcept;
 
  protected:
-  // Backend obligation for mark_peer_dead: request an asynchronous close
-  // of the link to `rank` on the progress thread (close + fold outstanding
-  // units + note_peer_closed), exactly like a locally-detected death.
-  virtual void close_link(std::size_t rank) = 0;
+  // A frame in a send queue; `offset` bytes of it are in the channel.
+  struct outgoing {
+    std::vector<std::byte> buf;
+    std::size_t offset = 0;
+    std::uint32_t units = 0;
+  };
+  enum class write_status {
+    done,     // the whole frame is in the channel
+    blocked,  // the channel is full for now (`offset` says how far it got)
+    broken,   // the link failed: the progress thread closes it
+    refused,  // the channel can never carry this frame: dropped
+  };
+  // Bit r: link r is ready for pump_in() (`in`) / its queue for
+  // try_write() (`out`).  `timed_out`: a full wait passed idle.
+  struct ready_links {
+    std::uint64_t in = 0;
+    std::uint64_t out = 0;
+    bool timed_out = false;
+  };
 
-  // Sized nranks; `self` reserved (never accounted).  Call from the ctor.
-  void init_peer_books(std::size_t nranks, std::size_t self);
+  // `direct_batches`: whether send() tries the channel for
+  // message::batch frames too.
+  distributed_transport(std::uint32_t rank, std::uint32_t nranks,
+                        bool direct_batches);
 
-  void account_sent(std::size_t rank, std::uint64_t units) noexcept;
-  void account_delivered(std::size_t rank, std::uint64_t units) noexcept;
-  void account_dropped(std::size_t rank, std::uint64_t units) noexcept;
+  // ---- the byte channel, supplied by the backend ----------------------
 
-  // Fault-injection hook for the send path: returns how many of `units`
-  // the backend must silently drop (0 when disarmed); may not return at
-  // all (a `kill` action SIGKILLs the process mid-call).
-  std::uint64_t fault_drop_units(std::size_t rank,
-                                 std::uint64_t units) noexcept;
+  // Puts `o` from `o.offset` into the channel to `rank` without blocking,
+  // advancing `o.offset`.  Called from send() under the peer's send lock,
+  // or from the progress thread for the queue's front; never twice at
+  // once for one peer.
+  virtual write_status try_write(std::size_t rank, outgoing& o) = 0;
+  // Progress thread: takes in what link `rank` has, hands each whole frame
+  // to deliver(), and close_peer()s on EOF or garbage.  True if anything
+  // happened.
+  virtual bool pump_in(std::size_t rank) = 0;
+  // Progress thread: waits until some link is ready, wake() is called or
+  // a short timeout passes.  With `idle` false (the last pass did work),
+  // a channel that pumps every link each pass may return all at once.
+  virtual ready_links wait(bool idle) = 0;
+  // Any thread: makes a blocked or the next wait() return promptly.
+  virtual void wake() = 0;
+  // Units in the channel to `rank` its peer has not consumed yet; in
+  // flight while the link is open.
+  virtual std::uint64_t unconsumed_units(std::size_t rank) const noexcept {
+    (void)rank;
+    return 0;
+  }
+  // From close_peer(): releases the channel to `rank`.
+  virtual void close_channel(std::size_t rank) = 0;
+  virtual std::vector<extra_link_counter> channel_counters() const = 0;
 
-  // Shared disconnect bookkeeping — every peer-close path funnels here,
-  // after the backend folded the link's outstanding units into its
-  // dropped books.  An unexpected close marks the peer dead, freezes the
-  // lost-units figure, and fires the death handler; an orderly close only
-  // counts.  Call with no backend locks held.
-  void note_peer_closed(std::size_t rank, bool orderly);
+  // ---- the engine, called by the backend ------------------------------
+
+  // Opens every peer link and starts the progress thread.
+  void start_progress();
+  // Lets the progress thread drain what is in flight, then joins it.
+  void stop_progress();
+  // Progress thread: runs the handler on one whole frame of `units`
+  // parcels from `rank` and books the delivery.
+  void deliver(std::size_t rank, std::vector<std::byte>&& frame,
+               std::uint32_t units);
+  // Progress thread: closes link `rank`, once.  `why == nullptr` is an
+  // orderly close; anything else is logged and marks the peer dead.
+  // Clears `open` under the send lock (no sender touches the channel
+  // again), releases the channel, folds the queued units — on an orderly
+  // close also the unconsumed ones — into the dropped books, then, with
+  // no lock held, books the disconnect (which may fire the death handler).
+  void close_peer(std::size_t rank, const char* why);
+  // `why`, or nullptr while stopping or once disconnects are expected.
+  const char* unless_expected(const char* why) const noexcept;
+  bool link_open(std::size_t rank) const noexcept {
+    return links_[rank].open.load(std::memory_order_acquire);
+  }
+  bool backlogged(std::size_t rank) {  // frames wait in rank's queue
+    std::lock_guard lock(links_[rank].send_lock);
+    return !links_[rank].sendq.empty();
+  }
 
  private:
+  struct alignas(64) peer_link {
+    // Written under send_lock; senders read it there before try_write.
+    std::atomic<bool> open{false};
+    util::spinlock send_lock;
+    // Units in sendq: written under send_lock, read by in_flight().
+    std::atomic<std::uint64_t> queued_units{0};
+    std::deque<outgoing> sendq;  // guarded by send_lock
+  };
+
+  void progress_loop();
+  // Writes the queue's front frames until the channel balks.
+  bool pump_out(std::size_t rank);
+  void drop(std::size_t rank, std::uint64_t units) noexcept;
+  // Wakes drain() waiters once in_flight() reads 0.
+  void notify_if_drained();
+  // The last step of close_peer: an unexpected close marks the peer dead,
+  // freezes the lost-units figure and fires the death handler; an orderly
+  // close only counts.
+  void note_peer_closed(std::size_t rank, bool orderly);
+
+  const std::uint32_t self_rank_;
+  const bool direct_batches_;
+  std::vector<peer_link> links_;  // index == peer rank
+  handler handler_;
+  std::function<void()> idle_cb_;
+  util::buffer_pool pool_;
+  std::thread progress_;
+
+  // One cache line each: written by senders / by the progress thread /
+  // read on every progress pass.
+  alignas(64) std::atomic<bool> traffic_started_{false};
+  std::atomic<std::uint64_t> sent_total_{0};
+  std::atomic<std::uint64_t> msgs_tx_{0};
+  std::atomic<std::uint64_t> parcels_tx_{0};
+  std::atomic<std::uint64_t> bytes_tx_{0};
+  std::atomic<std::uint64_t> direct_frames_{0};
+  std::atomic<std::uint64_t> queued_frames_{0};
+  alignas(64) std::atomic<std::uint64_t> received_total_{0};
+  std::atomic<std::uint64_t> msgs_rx_{0};
+  std::atomic<std::uint64_t> bytes_rx_{0};
+  std::atomic<std::uint64_t> dropped_total_{0};
+  alignas(64) std::atomic<bool> stopping_{false};
   std::atomic<bool> closing_{false};
+  // Ranks whose links mark_peer_dead() asked the progress thread to close.
+  std::atomic<std::uint64_t> pending_dead_{0};
+  // drain() waiters count themselves in, so the progress thread takes
+  // drain_mutex_ only when someone waits.
+  std::atomic<std::uint32_t> drain_waiters_{0};
+  std::mutex drain_mutex_;
+  std::condition_variable drained_cv_;
+
   std::atomic<std::uint64_t> dead_mask_{0};
   std::atomic<std::uint64_t> folded_mask_{0};
   std::atomic<std::uint64_t> peers_failed_{0};
@@ -325,7 +472,6 @@ class distributed_transport : public transport {
   std::vector<std::atomic<std::uint64_t>> units_to_;
   std::vector<std::atomic<std::uint64_t>> units_from_;
   std::vector<std::atomic<std::uint64_t>> dropped_to_;
-  std::size_t self_rank_ = 0;
   std::function<void(std::size_t)> on_peer_death_;
   util::fault_injector* fault_ = nullptr;
 };

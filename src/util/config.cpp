@@ -124,7 +124,6 @@ std::vector<knob_info> config::known_knobs() {
       knob("lease.ms", "failure lease: a rank silent this long is dead"),
       knob("fault", "fault-injection plan (docs/resilience.md grammar)"),
       knob("shm.ring_bytes", "shm backend: per-direction ring bytes per pair"),
-      knob("shm.spin_us", "shm backend: receiver spin before futex sleep"),
       knob("parcel.flush_bytes", "coalesced-frame byte threshold"),
       knob("parcel.flush_count", "coalesced-frame parcel-count threshold"),
       knob("parcel.eager_flush", "first-parcel eager flush on/off"),

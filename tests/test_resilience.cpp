@@ -34,10 +34,9 @@
 #include "core/runtime.hpp"
 #include "distributed_helpers.hpp"
 #include "net/bootstrap.hpp"
-#include "net/shm_transport.hpp"
-#include "net/tcp_transport.hpp"
 #include "parcel/migration.hpp"
 #include "parcel/parcel.hpp"
+#include "transport_pair.hpp"
 #include "util/fault.hpp"
 #include "util/serialize.hpp"
 #include "util/subproc.hpp"
@@ -679,32 +678,6 @@ std::vector<std::byte> resil_make_frame(int records) {
   return buf;
 }
 
-// One in-process transport pair per backend; `a` is rank 0, `b` rank 1.
-// The creator side of connect blocks until its peer attaches, so the pair
-// connects from two threads.
-template <typename Transport, typename Params>
-struct transport_pair {
-  std::unique_ptr<Transport> a;
-  std::unique_ptr<Transport> b;
-
-  transport_pair() {
-    Params p;
-    p.nranks = 2;
-    p.rank = 0;
-    a = std::make_unique<Transport>(p);
-    p.rank = 1;
-    b = std::make_unique<Transport>(p);
-  }
-
-  void connect() {
-    const std::vector<std::string> table = {a->listen_address(),
-                                            b->listen_address()};
-    std::thread ta([&] { a->connect_peers(table); });
-    b->connect_peers(table);
-    ta.join();
-  }
-};
-
 // Shared body: one frame each way, then tear `a` down.  Orderly mode arms
 // expect_peer_disconnects() on the watcher first; unexpected mode does not
 // and must see the full death bookkeeping — the peer marked dead, the
@@ -771,23 +744,20 @@ void disconnect_accounting_body(bool orderly) {
   }
 }
 
-using shm_disc_pair = transport_pair<net::shm_transport, net::shm_params>;
-using tcp_disc_pair = transport_pair<net::tcp_transport, net::tcp_params>;
-
 TEST(Resilience, ShmOrderlyDisconnectIsNotDeath) {
-  disconnect_accounting_body<shm_disc_pair>(true);
+  disconnect_accounting_body<px::test::shm_pair>(true);
 }
 
 TEST(Resilience, ShmUnexpectedDisconnectChargesLossAndFiresHandler) {
-  disconnect_accounting_body<shm_disc_pair>(false);
+  disconnect_accounting_body<px::test::shm_pair>(false);
 }
 
 TEST(Resilience, TcpOrderlyDisconnectIsNotDeath) {
-  disconnect_accounting_body<tcp_disc_pair>(true);
+  disconnect_accounting_body<px::test::tcp_pair>(true);
 }
 
 TEST(Resilience, TcpUnexpectedDisconnectChargesLossAndFiresHandler) {
-  disconnect_accounting_body<tcp_disc_pair>(false);
+  disconnect_accounting_body<px::test::tcp_pair>(false);
 }
 
 // ------------------------------------------------- wire-byte determinism

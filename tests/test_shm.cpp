@@ -1,9 +1,10 @@
-// Unit tests for the shared-memory data plane: the whole-frame delivery
-// seam (frame_assembler bypass + frame_view::parse poison path), the
+// Unit tests for the shared-memory data plane: the whole-frame ingest
+// gate (frame_assembler bypass + frame_view::parse poison path), the
 // shm_segment RAII lifetime, and two in-process shm_transport instances
-// exercising the ring/doorbell protocol end to end.  Two in-process
-// tcp_transport instances cover tcp's direct send, the other path where
-// the sending thread writes the wire itself.
+// exercising the ring/doorbell protocol end to end.  The TcpDirectSend and
+// ShmDirectSend cases run one set of bodies over the shared link engine's
+// send path — the sending thread writes the channel itself when nothing is
+// queued — on each backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,9 +21,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "net/shm_transport.hpp"
-#include "net/tcp_transport.hpp"
 #include "parcel/parcel.hpp"
+#include "transport_pair.hpp"
 #include "util/serialize.hpp"
 #include "util/shm_segment.hpp"
 
@@ -30,6 +30,8 @@ namespace {
 
 using namespace px;
 using namespace std::chrono_literals;
+using test::shm_pair;
+using test::tcp_pair;
 
 parcel::parcel sample_parcel(int salt = 0) {
   parcel::parcel p;
@@ -146,50 +148,29 @@ TEST(ShmSegment, DestructorUnlinksWhatItCreated) {
   EXPECT_FALSE(shm_name_exists(name));  // crash-safety backstop
 }
 
-// ------------------------------------------------- transport seam flags
+// ------------------------------------------------------ backend names
 
 TEST(Shm, BackendsDeclareWholeFrameDelivery) {
   net::shm_params sp;
   sp.rank = 0;
   sp.nranks = 1;
   net::shm_transport shm(sp);
-  EXPECT_TRUE(shm.whole_frame_delivery());
   EXPECT_STREQ(shm.backend_name(), "shm");
 
   net::tcp_params tp;
   tp.rank = 0;
   tp.nranks = 1;
   net::tcp_transport tcp(tp);
-  // The byte-stream backend keeps its frame_assembler.
-  EXPECT_FALSE(tcp.whole_frame_delivery());
+  EXPECT_STREQ(tcp.backend_name(), "tcp");
 }
 
 // ---------------------------------------------- two-instance ring tests
 
-struct shm_pair {
-  std::unique_ptr<net::shm_transport> a;  // rank 0
-  std::unique_ptr<net::shm_transport> b;  // rank 1
-
-  explicit shm_pair(std::size_t ring_bytes = 1u << 20) {
-    net::shm_params p;
-    p.nranks = 2;
-    p.ring_bytes = ring_bytes;
-    p.rank = 0;
-    a = std::make_unique<net::shm_transport>(p);
-    p.rank = 1;
-    b = std::make_unique<net::shm_transport>(p);
-  }
-
-  // The creator side of connect_peers blocks until its peer attaches, so
-  // an in-process pair must connect from two threads.
-  void connect() {
-    const std::vector<std::string> table = {a->listen_address(),
-                                            b->listen_address()};
-    std::thread ta([&] { a->connect_peers(table); });
-    b->connect_peers(table);
-    ta.join();
-  }
-};
+net::shm_params ring_of(std::size_t ring_bytes) {
+  net::shm_params p;
+  p.ring_bytes = ring_bytes;
+  return p;
+}
 
 TEST(Shm, DeliversWholeFramesAndUnlinksSegments) {
   shm_pair pair;
@@ -225,9 +206,6 @@ TEST(Shm, DeliversWholeFramesAndUnlinksSegments) {
   EXPECT_EQ(pair.a->messages_sent_total(), 3u);
   EXPECT_EQ(pair.b->parcels_received_total(), 3u);
   EXPECT_EQ(pair.b->parcels_dropped_total(), 0u);
-
-  pair.a->expect_peer_disconnects();
-  pair.b->expect_peer_disconnects();
 }
 
 TEST(Shm, InFlightCountsUntilPeerConsumes) {
@@ -256,9 +234,6 @@ TEST(Shm, InFlightCountsUntilPeerConsumes) {
   pair.a->drain();
   EXPECT_EQ(pair.a->in_flight(), 0u);
   EXPECT_EQ(pair.b->parcels_received_total(), 2u);
-
-  pair.a->expect_peer_disconnects();
-  pair.b->expect_peer_disconnects();
 }
 
 TEST(Shm, GarbageFramePoisonsLinkNothingDelivered) {
@@ -284,13 +259,10 @@ TEST(Shm, GarbageFramePoisonsLinkNothingDelivered) {
   EXPECT_FALSE(delivered.load());
   EXPECT_EQ(pair.b->parcels_received_total(), 0u);
   EXPECT_EQ(pair.a->in_flight(), 0u);
-
-  pair.a->expect_peer_disconnects();
-  pair.b->expect_peer_disconnects();
 }
 
 TEST(Shm, OversizeFrameDropsWithDiagnosticNotWedge) {
-  shm_pair pair(4096);  // tiny rings: max shippable record is 2048 bytes
+  shm_pair pair(ring_of(4096));  // tiny rings: max shippable record is 2048 bytes
   pair.a->set_handler(0, [](net::message&) {});
   pair.b->set_handler(1, [](net::message&) {});
   pair.connect();
@@ -306,13 +278,10 @@ TEST(Shm, OversizeFrameDropsWithDiagnosticNotWedge) {
   EXPECT_EQ(pair.a->parcels_dropped_total(), 1u);
   pair.a->drain();
   EXPECT_EQ(pair.a->in_flight(), 0u);
-
-  pair.a->expect_peer_disconnects();
-  pair.b->expect_peer_disconnects();
 }
 
 TEST(Shm, ManySmallFramesFlowThroughRingWrap) {
-  shm_pair pair(8192);  // force plenty of wrap-marker traffic
+  shm_pair pair(ring_of(8192));  // force plenty of wrap-marker traffic
   std::atomic<std::uint64_t> got{0};
   pair.a->set_handler(0, [](net::message&) {});
   pair.b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
@@ -338,48 +307,60 @@ TEST(Shm, ManySmallFramesFlowThroughRingWrap) {
   EXPECT_STREQ(extras[0].name, "ring_full_waits");
   EXPECT_STREQ(extras[2].name, "peer_failed");
   EXPECT_STREQ(extras[3].name, "parcels_lost");
-
-  pair.a->expect_peer_disconnects();
-  pair.b->expect_peer_disconnects();
 }
 
-// ------------------------------------------ two-instance tcp direct send
+// ------------------------------------- direct send, on tcp and on shm
 
-struct tcp_pair {
-  std::unique_ptr<net::tcp_transport> a;  // rank 0
-  std::unique_ptr<net::tcp_transport> b;  // rank 1
-
-  tcp_pair() {
-    net::tcp_params p;
-    p.nranks = 2;
-    p.rank = 0;
-    a = std::make_unique<net::tcp_transport>(p);
-    p.rank = 1;
-    b = std::make_unique<net::tcp_transport>(p);
+// What differs between the backends under the shared send path.
+struct tcp_backend {
+  using pair = tcp_pair;
+  static net::tcp_params params() { return {}; }
+  // Batch frames of 16 MiB in all: loopback's socket buffers take a
+  // fraction, the rest waits in the send queue.
+  static constexpr std::size_t kBatchBytes = 256u << 10;
+  // tcp leaves batch frames to the progress thread.
+  static constexpr bool kDirectBatches = false;
+  // In flight until the bytes reach the kernel, not until the peer's
+  // handler returns.
+  static constexpr bool kCountsUntilConsumed = false;
+  // The send-path row the backend publishes, and what it counts.
+  static constexpr const char* kSendRow = "direct_sends";
+  static std::uint64_t send_row(const net::distributed_transport& t) {
+    return t.direct_frames();
   }
-
-  // Rank 0 accepts while rank 1 dials, so the pair connects from two
-  // threads.
-  void connect() {
-    const std::vector<std::string> table = {a->listen_address(),
-                                            b->listen_address()};
-    std::thread ta([&] { a->connect_peers(table); });
-    b->connect_peers(table);
-    ta.join();
-  }
-
-  ~tcp_pair() {
-    a->expect_peer_disconnects();
-    b->expect_peer_disconnects();
-  }
+  static constexpr bool kClosesFd = true;  // closing a link frees its fd
 };
 
-std::uint64_t direct_sends(const net::tcp_transport& t) {
-  for (const auto& c : t.extra_link_counters(t.params().rank)) {
-    if (std::strcmp(c.name, "direct_sends") == 0) return c.value;
+struct shm_backend {
+  using pair = shm_pair;
+  // A 4 KiB ring holds a couple of batch frames, so concurrent senders
+  // run the overflow queue.
+  static net::shm_params params() { return ring_of(4096); }
+  static constexpr std::size_t kBatchBytes = 1024;
+  static constexpr bool kDirectBatches = true;
+  static constexpr bool kCountsUntilConsumed = true;
+  static constexpr const char* kSendRow = "ring_full_waits";
+  static std::uint64_t send_row(const net::distributed_transport& t) {
+    return t.queued_frames();
   }
-  ADD_FAILURE() << "tcp has no direct_sends row";
+  static constexpr bool kClosesFd = false;
+};
+
+std::uint64_t counter_row(const net::distributed_transport& t,
+                          const char* name) {
+  for (const auto& c : t.extra_link_counters(0)) {
+    if (std::strcmp(c.name, name) == 0) return c.value;
+  }
+  ADD_FAILURE() << t.backend_name() << " has no " << name << " row";
   return 0;
+}
+
+// The frames send() wrote into the channel itself, after checking the
+// row the backend publishes.
+template <typename backend>
+std::uint64_t direct_sends(const net::distributed_transport& t) {
+  EXPECT_EQ(counter_row(t, backend::kSendRow), backend::send_row(t));
+  return t.direct_frames();
 }
 
 // A frame of `records` parcels whose action names its sender and sequence
@@ -414,27 +395,32 @@ net::message to_peer(std::vector<std::byte> frame, std::uint32_t units,
   return m;
 }
 
-TEST(TcpDirectSend, BacklogAndDirectFramesKeepEachSendersOrder) {
-  tcp_pair pair;
+// Each case below is one body, templated on the backend, that a
+// TcpDirectSend and a ShmDirectSend test run (the idiom of the disconnect
+// cases in test_resilience.cpp).
+
+template <typename backend>
+void backlog_and_direct_frames_keep_each_senders_order() {
+  typename backend::pair pair(backend::params());
   std::atomic<bool> gate{false};
   std::vector<std::vector<std::byte>> got;  // progress thread, then main
   std::atomic<std::uint64_t> got_units{0};
   pair.a->set_handler(0, [](net::message&) {});
   pair.b->set_handler(1, [&](net::message& m) {
-    // A closed gate stops the reads, so the sender's socket buffer fills
-    // and the batch frames pile up in its send queue.
+    // A closed gate stops the reads, so the sender's socket buffer (or
+    // ring) fills and the batch frames pile up in its send queue.
     while (!gate.load()) std::this_thread::sleep_for(1ms);
     got.push_back(m.payload);
     got_units.fetch_add(m.units);
   });
   pair.connect();
 
-  // Batch sender: 16 MiB.  With reads stopped, loopback's socket buffers
-  // (send buffer up to tcp_wmem's 4 MiB, receive buffer barely grown)
-  // take a fraction; the rest waits in the send queue until the gate
-  // opens.
+  // Batch sender: 64 frames.  With reads stopped, the channel takes a
+  // fraction (tcp: loopback's socket buffers, the send buffer up to
+  // tcp_wmem's 4 MiB, the receive buffer barely grown); the rest waits in
+  // the send queue until the gate opens.
   constexpr std::uint32_t kBatchFrames = 64;
-  constexpr std::size_t kBatchBytes = 256u << 10;
+  constexpr std::size_t kBatchBytes = backend::kBatchBytes;
   std::atomic<std::uint64_t> backlog{0};  // units queued at kQueuedFrom
   // Isolated sender: 2-parcel frames, in four phases: [0, 100) while the
   // batch frames queue; [100, 150) behind a certain backlog, so each is
@@ -494,33 +480,66 @@ TEST(TcpDirectSend, BacklogAndDirectFramesKeepEachSendersOrder) {
   }
   EXPECT_EQ(next[1], kBatchFrames);
   EXPECT_EQ(next[2], kDirectFrames);
-  // Batch frames never go direct, nor do isolated frames behind a
-  // backlog; on a quiet link every isolated frame does.
-  const std::uint64_t direct = direct_sends(*pair.a);
+  // Isolated frames behind a backlog never go direct, nor do batch frames
+  // on tcp; on a quiet link every isolated frame does.
+  const std::uint64_t direct = direct_sends<backend>(*pair.a);
   EXPECT_GE(direct, kDirectFrames - kQuietAt);
-  EXPECT_LE(direct, kDirectFrames - (kOpenAt - kQueuedFrom))
+  EXPECT_LE(direct, (backend::kDirectBatches ? kBatchFrames : 0) +
+                        kDirectFrames - (kOpenAt - kQueuedFrom))
       << "backlog when the queued phase began: " << backlog.load()
       << " units";
 }
 
-TEST(TcpDirectSend, DirectFrameLeavesNothingInFlight) {
-  tcp_pair pair;
+TEST(TcpDirectSend, BacklogAndDirectFramesKeepEachSendersOrder) {
+  backlog_and_direct_frames_keep_each_senders_order<tcp_backend>();
+}
+
+TEST(ShmDirectSend, BacklogAndDirectFramesKeepEachSendersOrder) {
+  backlog_and_direct_frames_keep_each_senders_order<shm_backend>();
+}
+
+template <typename backend>
+void direct_frame_leaves_nothing_in_flight() {
+  typename backend::pair pair(backend::params());
   std::atomic<std::uint64_t> got{0};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
   pair.a->set_handler(0, [](net::message&) {});
-  pair.b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
+  pair.b->set_handler(1, [&](net::message& m) {
+    entered.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    got.fetch_add(m.units);
+  });
   pair.connect();
 
   pair.a->send(to_peer(make_frame(3), 3, false));
-  // The frame reached the kernel before send() returned: nothing is left
-  // for the progress thread, so the books are already settled.
-  ASSERT_EQ(pair.a->in_flight(), 0u);
+  if (backend::kCountsUntilConsumed) {
+    // In the ring before send() returned, but in flight until the peer's
+    // handler is done with it.
+    ASSERT_TRUE(eventually([&] { return entered.load(); }));
+    ASSERT_EQ(pair.a->in_flight(), 3u);
+  } else {
+    // The frame reached the kernel before send() returned: nothing is
+    // left for the progress thread, so the books are already settled.
+    ASSERT_EQ(pair.a->in_flight(), 0u);
+  }
+  release.store(true);
   pair.a->drain();
-  EXPECT_EQ(direct_sends(*pair.a), 1u);
+  EXPECT_EQ(pair.a->in_flight(), 0u);
+  EXPECT_EQ(direct_sends<backend>(*pair.a), 1u);
   EXPECT_EQ(pair.a->messages_sent_total(), 3u);
   ASSERT_TRUE(eventually([&] { return got.load() == 3u; }));
   EXPECT_EQ(pair.b->parcels_received_total(),
             pair.a->messages_sent_total());
   EXPECT_EQ(pair.a->parcels_dropped_total(), 0u);
+}
+
+TEST(TcpDirectSend, DirectFrameLeavesNothingInFlight) {
+  direct_frame_leaves_nothing_in_flight<tcp_backend>();
+}
+
+TEST(ShmDirectSend, DirectFrameLeavesNothingInFlight) {
+  direct_frame_leaves_nothing_in_flight<shm_backend>();
 }
 
 // Open descriptors of this process, without the one listing them.
@@ -542,8 +561,9 @@ int move_fd_high(int fd) {
   return high;
 }
 
-TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
-  tcp_pair pair;
+template <typename backend>
+void closed_peer_drops_without_touching_the_channel() {
+  typename backend::pair pair(backend::params());
   std::atomic<std::uint64_t> got{0};
   pair.a->set_handler(0, [](net::message&) {});
   pair.b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
@@ -557,7 +577,7 @@ TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
 
   // Put a live socket on every descriptor number the close freed, the old
   // link's among them: a send that still used the stale fd would land
-  // on one of them.
+  // on one of them.  (A closed shm link frees none.)
   std::vector<int> watchers;
   const std::set<int> after = open_fds();
   for (const int fd : before) {
@@ -572,13 +592,13 @@ TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
     ::close(end);
     watchers.push_back(fd);
   }
-  ASSERT_FALSE(watchers.empty());
+  ASSERT_EQ(watchers.empty(), !backend::kClosesFd);
 
   pair.a->send(to_peer(make_frame(2), 2, false));
   EXPECT_EQ(pair.a->parcels_dropped_total(), 2u);
   EXPECT_EQ(pair.a->in_flight(), 0u);
   pair.a->drain();
-  EXPECT_EQ(direct_sends(*pair.a), 0u);
+  EXPECT_EQ(direct_sends<backend>(*pair.a), 0u);
   for (std::size_t i = 0; i < watchers.size(); i += 2) {
     std::byte sink[16];
     EXPECT_EQ(::recv(watchers[i], sink, sizeof sink, MSG_DONTWAIT), -1);
@@ -587,6 +607,14 @@ TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
     ::close(watchers[i + 1]);
   }
   EXPECT_EQ(got.load(), 0u);
+}
+
+TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
+  closed_peer_drops_without_touching_the_channel<tcp_backend>();
+}
+
+TEST(ShmDirectSend, ClosedPeerDropsWithoutTouchingTheChannel) {
+  closed_peer_drops_without_touching_the_channel<shm_backend>();
 }
 
 }  // namespace
