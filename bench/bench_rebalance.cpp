@@ -13,10 +13,11 @@
 // core count, including single-core CI runners.
 //
 // With the rebalancer off, every hop lands on locality 0 and the other
-// execution sites starve behind it.  With it on, the introspection
-// monitors expose the ready-depth skew, hot objects migrate away
-// (agas::migrate + stale-cache forwarding), and the chains follow their
-// objects to the idle sites — completion approaches work/sites.
+// execution sites starve behind it.  With it on, the schedulers' ready
+// depths expose the skew, hot objects migrate away
+// (runtime::migrate_gid_async + stale-cache forwarding), and the chains
+// follow their objects to the idle sites — completion approaches
+// work/sites.
 #include <array>
 #include <chrono>
 #include <cstdio>

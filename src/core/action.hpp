@@ -45,7 +45,7 @@ parcel::action_id sink_action_id();
 
 // Sends an action result onward through a parcel's continuation specifier
 // (no-op when the parcel carried none).  The raw-registered control-plane
-// handlers (px.agas_update / px.agas_resolve / px.query_counter) reply
+// handlers (px.agas_update / px.query_counter) reply
 // inline on the delivery thread through this instead of the typed-action
 // machinery.
 inline void send_continuation_reply(locality& from,

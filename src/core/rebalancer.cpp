@@ -17,6 +17,12 @@ namespace px::core {
 
 using util::now_ns;
 
+namespace {
+// Distributed rounds cost parcel round trips, so they run this many
+// intervals apart.
+constexpr std::int64_t kDistIntervalMult = 16;
+}  // namespace
+
 rebalancer::rebalancer(runtime& rt, rebalancer_params params)
     : rt_(rt), params_(params) {
   if (rt_.distributed() && params_.enabled) {
@@ -33,7 +39,7 @@ void rebalancer::poll() noexcept {
   const std::int64_t now = now_ns();
   std::int64_t last = last_poll_ns_.load(std::memory_order_relaxed);
   auto interval_ns = static_cast<std::int64_t>(params_.interval_us) * 1000;
-  if (rt_.distributed()) interval_ns *= params_.dist_interval_mult;
+  if (rt_.distributed()) interval_ns *= kDistIntervalMult;
   if (now - last < interval_ns) return;
   if (!last_poll_ns_.compare_exchange_strong(last, now,
                                              std::memory_order_relaxed)) {
@@ -112,46 +118,18 @@ void rebalancer::note_depth(std::size_t idx, std::uint64_t depth) {
 void rebalancer::finish_round() {
   const std::size_t n = rt_.num_localities();
   const auto rank = rt_.rank();
-  rounds_.fetch_add(1, std::memory_order_relaxed);
   have_samples_.store(true, std::memory_order_release);
-
-  std::uint64_t total = 0, max_depth = 0;
-  gas::locality_id deepest = 0;
+  std::vector<std::uint64_t> depths(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t d = rank_depths_[i].load(std::memory_order_relaxed);
-    total += d;
-    if (d > max_depth) {
-      max_depth = d;
-      deepest = static_cast<gas::locality_id>(i);
-    }
+    depths[i] = rank_depths_[i].load(std::memory_order_relaxed);
   }
-  const double mean = static_cast<double>(total) / static_cast<double>(n);
-  const double imbalance =
-      mean > 0.0 ? static_cast<double>(max_depth) / mean : 0.0;
-  last_imbalance_milli_.store(static_cast<std::uint64_t>(imbalance * 1000.0),
-                              std::memory_order_relaxed);
-
   // Push-only: act only when *we* are the overloaded rank (we own the hot
   // objects; every rank runs this same policy).
-  if (deepest != rank || max_depth < params_.min_depth ||
-      imbalance < params_.threshold) {
+  const rebalance_plan plan = decide_round(depths, rank);
+  if (!plan.trigger || plan.dests.empty()) {
     round_active_.store(false, std::memory_order_release);
     return;
   }
-  triggers_.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<std::pair<std::uint64_t, gas::locality_id>> dests;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lid = static_cast<gas::locality_id>(i);
-    if (lid == rank) continue;
-    const std::uint64_t d = rank_depths_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(d) <= mean) dests.emplace_back(d, lid);
-  }
-  if (dests.empty()) {
-    round_active_.store(false, std::memory_order_release);
-    return;
-  }
-  std::sort(dests.begin(), dests.end());
 
   // Act on the hottest objects.  When heat names fewer candidates than
   // the budget (a latency-bound backlog delivers too rarely for the 1-in-8
@@ -161,14 +139,66 @@ void rebalancer::finish_round() {
   for (const auto id : rt_.migratable_residents(4u * params_.max_migrations)) {
     candidates.push_back(id);  // dup retries sync-reject on the claim; cheap
   }
-  const std::uint32_t issued =
-      act(candidates, rank, dests, shed_budget(max_depth, mean));
+  const std::uint32_t issued = act(candidates, rank, plan);
   if (issued > 0) {
     PX_LOG_DEBUG("rebalancer: shipping %u hot objects off rank %u "
                  "(imbalance %.2f, depth %llu)",
-                 issued, rank, imbalance,
-                 static_cast<unsigned long long>(max_depth));
+                 issued, rank, plan.imbalance,
+                 static_cast<unsigned long long>(plan.max_depth));
   }
+}
+
+rebalance_plan rebalancer::decide(const std::vector<std::uint64_t>& depths,
+                                  const rebalancer_params& params,
+                                  gas::locality_id pusher) {
+  rebalance_plan plan;
+  if (depths.empty()) return plan;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    total += depths[i];
+    if (depths[i] > plan.max_depth) {
+      plan.max_depth = depths[i];
+      plan.deepest = static_cast<gas::locality_id>(i);
+    }
+  }
+  plan.mean = static_cast<double>(total) / static_cast<double>(depths.size());
+  plan.imbalance = plan.mean > 0.0
+                       ? static_cast<double>(plan.max_depth) / plan.mean
+                       : 0.0;
+  plan.trigger = plan.max_depth >= params.min_depth &&
+                 plan.imbalance >= params.threshold &&
+                 (pusher == gas::invalid_locality || pusher == plan.deepest);
+  if (!plan.trigger) return plan;
+
+  // Every locality at or below the mean is an eligible destination.
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    const auto lid = static_cast<gas::locality_id>(i);
+    if (lid == plan.deepest) continue;
+    if (static_cast<double>(depths[i]) <= plan.mean) {
+      plan.dests.emplace_back(depths[i], lid);
+    }
+  }
+  std::sort(plan.dests.begin(), plan.dests.end());
+
+  // At most the deepest queue's excess over the mean.  A hot object
+  // carries about one unit of ready depth, so shedding more overshoots:
+  // the next round sees the imbalance reversed and moves the objects
+  // back, and the hot set ping-pongs instead of settling.
+  const double excess = static_cast<double>(plan.max_depth) - plan.mean;
+  plan.budget =
+      std::min(params.max_migrations, static_cast<std::uint32_t>(excess));
+  return plan;
+}
+
+rebalance_plan rebalancer::decide_round(
+    const std::vector<std::uint64_t>& depths, gas::locality_id pusher) {
+  rebalance_plan plan = decide(depths, params_, pusher);
+  rounds_.fetch_add(1, std::memory_order_relaxed);
+  last_imbalance_milli_.store(
+      static_cast<std::uint64_t>(plan.imbalance * 1000.0),
+      std::memory_order_relaxed);
+  if (plan.trigger) triggers_.fetch_add(1, std::memory_order_relaxed);
+  return plan;
 }
 
 std::vector<gas::gid> rebalancer::hot_candidates(gas::locality_id from) {
@@ -183,20 +213,9 @@ std::vector<gas::gid> rebalancer::hot_candidates(gas::locality_id from) {
   return out;
 }
 
-std::uint32_t rebalancer::shed_budget(std::uint64_t max_depth,
-                                      double mean) const {
-  // At most the deepest queue's excess over the mean.  A hot object
-  // carries about one unit of ready depth, so shedding more overshoots:
-  // the next round sees the imbalance reversed and moves the objects
-  // back, and the hot set ping-pongs instead of settling.
-  const double excess = static_cast<double>(max_depth) - mean;
-  return std::min(params_.max_migrations, static_cast<std::uint32_t>(excess));
-}
-
-std::uint32_t rebalancer::act(
-    const std::vector<gas::gid>& candidates, gas::locality_id from,
-    const std::vector<std::pair<std::uint64_t, gas::locality_id>>& dests,
-    std::uint32_t budget) {
+std::uint32_t rebalancer::act(const std::vector<gas::gid>& candidates,
+                               gas::locality_id from,
+                               const rebalance_plan& plan) {
   // Migrations cycle across the destinations, shallowest first, so one
   // idle site does not absorb the entire hot spot (which would just move
   // the imbalance).  A rejected candidate (no longer at `from`, untagged
@@ -209,8 +228,9 @@ std::uint32_t rebalancer::act(
   round_slots_.store(1, std::memory_order_release);  // sentinel
   std::uint32_t issued = 0;
   for (const auto id : candidates) {
-    if (issued >= budget) break;
-    const gas::locality_id to = dests[issued % dests.size()].second;
+    if (issued >= plan.budget) break;
+    const gas::locality_id to =
+        plan.dests[issued % plan.dests.size()].second;
     round_slots_.fetch_add(1, std::memory_order_relaxed);
     const bool accepted =
         rt_.migrate_gid_async(id, from, to, [this](bool ok) {
@@ -231,50 +251,23 @@ void rebalancer::rebalance_once() {
   const std::size_t n = rt_.num_localities();
   if (n < 2) return;
 
-  // Freshen every monitor (the overloaded locality never runs its own
-  // idle hook), then read instantaneous depths: acting on a stale signal
-  // would migrate objects *toward* yesterday's idle site.
-  std::uint64_t total = 0, max_depth = 0;
-  gas::locality_id deepest = 0;
+  // One snapshot of instantaneous depths feeds the whole decision: acting
+  // on a stale signal would migrate objects *toward* yesterday's idle site.
+  std::vector<std::uint64_t> depths(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rt_.monitor_at(static_cast<gas::locality_id>(i)).tick();
-    const std::uint64_t d =
+    depths[i] =
         rt_.at(static_cast<gas::locality_id>(i)).sched().ready_estimate();
-    total += d;
-    if (d > max_depth) {
-      max_depth = d;
-      deepest = static_cast<gas::locality_id>(i);
-    }
   }
-  rounds_.fetch_add(1, std::memory_order_relaxed);
+  const rebalance_plan plan = decide_round(depths, gas::invalid_locality);
+  if (!plan.trigger || plan.dests.empty()) return;
 
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(n);
-  const double imbalance =
-      mean > 0.0 ? static_cast<double>(max_depth) / mean : 0.0;
-  last_imbalance_milli_.store(static_cast<std::uint64_t>(imbalance * 1000.0),
-                              std::memory_order_relaxed);
-  if (max_depth < params_.min_depth || imbalance < params_.threshold) return;
-  triggers_.fetch_add(1, std::memory_order_relaxed);
-
-  // Every locality below the mean is an eligible destination.
-  std::vector<std::pair<std::uint64_t, gas::locality_id>> dests;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lid = static_cast<gas::locality_id>(i);
-    if (lid == deepest) continue;
-    const std::uint64_t d = rt_.at(lid).sched().ready_estimate();
-    if (static_cast<double>(d) <= mean) dests.emplace_back(d, lid);
-  }
-  if (dests.empty()) return;
-  std::sort(dests.begin(), dests.end());
-
-  const std::uint32_t moved = act(hot_candidates(deepest), deepest, dests,
-                                  shed_budget(max_depth, mean));
+  const std::uint32_t moved =
+      act(hot_candidates(plan.deepest), plan.deepest, plan);
   if (moved > 0) {
     PX_LOG_DEBUG("rebalancer: moved %u hot objects off L%u "
                  "(imbalance %.2f, depth %llu)",
-                 moved, deepest, imbalance,
-                 static_cast<unsigned long long>(max_depth));
+                 moved, plan.deepest, plan.imbalance,
+                 static_cast<unsigned long long>(plan.max_depth));
   }
 }
 

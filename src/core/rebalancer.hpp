@@ -6,14 +6,13 @@
 // closes the loop over the introspection subsystem:
 //
 //   observe   per-locality instantaneous ready depths
-//             (scheduler::ready_estimate; acting on a lagged signal would
-//             chase yesterday's imbalance, so decisions read the live
-//             counters while the introspect::monitor EWMA — refreshed on
-//             every poll — serves the exported counters and remote
-//             observers)
+//             (scheduler::ready_estimate, read live in-process or through
+//             the sched/ready_depth counter across processes; acting on a
+//             lagged signal would chase yesterday's imbalance)
 //   decide    load-imbalance coefficient = max_depth / mean_depth;
 //             act only when it exceeds a threshold and the deepest queue
-//             is deep enough to matter
+//             is deep enough to matter (decide(), one routine for both
+//             machine shapes)
 //   act       (a) migrate the hottest gid-bound data objects away from the
 //                 overloaded locality through runtime::migrate_gid_async,
 //                 the one handoff on every shape (in-flight parcels heal
@@ -72,9 +71,21 @@ struct rebalancer_params {
   // correction is incremental rather than oscillatory).
   std::uint32_t max_migrations = 4;
   // Minimum spacing between rebalance rounds.  Distributed rounds cost
-  // parcel round trips, so they run at interval_us * dist_interval_mult.
+  // parcel round trips, so they run 16x further apart.
   std::uint64_t interval_us = 200;
-  std::uint32_t dist_interval_mult = 16;
+};
+
+// One round's decision over a snapshot of per-locality ready depths.
+struct rebalance_plan {
+  gas::locality_id deepest = 0;  // first locality holding max_depth
+  std::uint64_t max_depth = 0;
+  double mean = 0.0;
+  double imbalance = 0.0;  // max_depth / mean (0 on an idle machine)
+  bool trigger = false;    // every gate passed: the round acts
+  // Localities at or below the mean, excluding the deepest, shallowest
+  // first (depth, id); filled only when the round triggers.
+  std::vector<std::pair<std::uint64_t, gas::locality_id>> dests;
+  std::uint32_t budget = 0;  // objects the round may shed
 };
 
 struct rebalancer_stats {
@@ -107,7 +118,18 @@ class rebalancer {
 
   rebalancer_stats stats() const;
 
+  // The decision both shapes share: the deepest locality and the
+  // imbalance over `depths` (indexed by locality id), whether the round
+  // triggers (min_depth, threshold and, when `pusher` is a valid id, the
+  // push-only gate deepest == pusher), the destinations and the budget.
+  static rebalance_plan decide(const std::vector<std::uint64_t>& depths,
+                               const rebalancer_params& params,
+                               gas::locality_id pusher = gas::invalid_locality);
+
  private:
+  // decide() plus the round books (rounds, triggers, last imbalance).
+  rebalance_plan decide_round(const std::vector<std::uint64_t>& depths,
+                              gas::locality_id pusher);
   void rebalance_once();
   // Distributed round stages (see the class comment): gate + fire probes,
   // per-reply countdown, decide + act, latch slot release.
@@ -117,15 +139,11 @@ class rebalancer {
   void finish_round();
   void release_round_slot();
   // Act, shared by both rounds: the hottest objects at `from` (heat list,
-  // oversampled), how many objects a round may shed, and up to `budget`
-  // handoffs of `candidates` off `from` cycled across `dests`; returns
-  // the number issued.
+  // oversampled), and up to plan.budget handoffs of `candidates` off
+  // `from` cycled across plan.dests; returns the number issued.
   std::vector<gas::gid> hot_candidates(gas::locality_id from);
-  std::uint32_t shed_budget(std::uint64_t max_depth, double mean) const;
-  std::uint32_t act(
-      const std::vector<gas::gid>& candidates, gas::locality_id from,
-      const std::vector<std::pair<std::uint64_t, gas::locality_id>>& dests,
-      std::uint32_t budget);
+  std::uint32_t act(const std::vector<gas::gid>& candidates,
+                    gas::locality_id from, const rebalance_plan& plan);
 
   runtime& rt_;
   rebalancer_params params_;

@@ -280,7 +280,6 @@ runtime::runtime(runtime_params params)
   for (std::size_t i = 0; i < params_.localities; ++i) {
     if (localities_[i] == nullptr) {
       ports_.push_back(nullptr);
-      monitors_.push_back(nullptr);
       continue;
     }
     const auto ep = static_cast<net::endpoint_id>(i);
@@ -288,8 +287,6 @@ runtime::runtime(runtime_params params)
       deliver_from_fabric(m);
     });
     ports_.push_back(std::make_unique<parcel_port>(*transport_, ep, pp));
-    monitors_.push_back(
-        std::make_unique<introspect::monitor>(localities_[i]->sched_));
   }
   balancer_ = std::make_unique<rebalancer>(*this, rp);
   if (rp.enabled) {
@@ -301,27 +298,21 @@ runtime::runtime(runtime_params params)
   for (std::size_t i = 0; i < params_.localities; ++i) {
     if (localities_[i] == nullptr) continue;
     // Flush-on-idle: a worker with nothing to run ships this locality's
-    // half-full frames (communication fills the compute troughs), samples
-    // its own load (decaying the monitor signal toward idle), and gives
+    // half-full frames (communication fills the compute troughs) and gives
     // the rebalancer a rate-limited chance to pull work its way.
     localities_[i]->sched_.set_idle_hook(
-        [port = ports_[i].get(), mon = monitors_[i].get(),
-         bal = balancer_.get()] {
+        [port = ports_[i].get(), bal = balancer_.get()] {
           port->flush_all();
-          mon->tick();
           bal->poll();
         });
   }
   // Backstop: if every worker of a locality is pinned busy (or asleep with
-  // the inject path quiet), the transport progress thread flushes,
-  // samples, and rebalances for them — the overloaded locality never runs
-  // its own idle hook, so this is the path that observes it.
+  // the inject path quiet), the transport progress thread flushes and
+  // rebalances for them — the overloaded locality never runs its own idle
+  // hook, so this is the path that observes it.
   transport_->set_idle_callback([this] {
     for (auto& port : ports_) {
       if (port != nullptr) port->flush_all();
-    }
-    for (auto& mon : monitors_) {
-      if (mon != nullptr) mon->tick();
     }
     balancer_->poll();
   });
@@ -387,217 +378,175 @@ runtime::runtime(runtime_params params)
 // counters, runtime/<service>/<metric> for machine-global ones (homed at
 // locality 0, which hosts the global services).
 //
-// Distributed mode replays the *identical* registration sequence in every
-// process — locality slots this process doesn't host (and the globals on
-// non-zero ranks) register sampler-less via add_remote — so counter gids
-// allocate in the same order machine-wide and any rank can query any
-// other's counters by path or gid (introspect::query_counter pays a parcel
-// round trip to the home rank, whose registry holds the live callback).
-// Keep both arms of the branch below in lock-step when adding counters.
+// Distributed mode replays this *identical* registration sequence in every
+// process: a row whose home this process does not host (another rank's
+// locality slot, the globals on non-zero ranks) registers sampler-less via
+// add_remote, so counter gids allocate in the same order machine-wide and
+// any rank can query any other's counters by path or gid
+// (introspect::query_counter pays a parcel round trip to the home rank,
+// whose registry holds the live callback).  Samplers capture pointers that
+// are null on remote rows and dereference them only when called.
 void runtime::register_counters() {
-  // Per-locality schema, in registration order (remote replay).
-  static constexpr const char* kLocalitySchema[] = {
-      "/sched/ready_depth", "/sched/live_threads", "/sched/spawned",
-      "/sched/steals", "/sched/suspends", "/sched/sleeps",
-      "/parcels/sent", "/parcels/delivered", "/parcels/forwarded",
-      "/parcels/dropped", "/port/pending", "/port/enqueued",
-      "/port/frames_sent", "/port/eager_flushes", "/fabric/frames_sent",
-      "/fabric/parcels_sent", "/fabric/bytes_sent",
-      "/monitor/ready_ewma_milli", "/monitor/samples", "/net/bytes_tx",
-      "/net/bytes_rx", "/net/msgs_tx", "/net/msgs_rx", "/trace/events",
-      "/trace/drops", "/parcels/hist_dispatch_ns", "/sched/hist_run_ns",
-      "/sched/hist_wait_ns", "/sched/hist_ready_depth", "/stats/ticks",
-      "/stats/dropped_points"};
+  auto& reg = introspect_;
+  net::transport* t = transport_;
+  const auto own_ep = static_cast<net::endpoint_id>(rank_);
 
   for (std::size_t i = 0; i < localities_.size(); ++i) {
     const auto lid = static_cast<gas::locality_id>(i);
     locality* loc = localities_[i].get();
     parcel_port* port = ports_[i].get();
-    introspect::monitor* mon = monitors_[i].get();
-    const std::string p = "runtime/loc" + std::to_string(i);
-    auto& reg = introspect_;
-
-    if (loc == nullptr) {  // remote rank: schema without samplers
-      for (const char* path : kLocalitySchema) reg.add_remote(lid, p + path);
-      // Backend-specific rows replay by *name* (sampling a remote
-      // endpoint's books locally would assert); every rank runs the same
-      // backend, so the positional gid sequence still matches.
-      const auto own_ep = static_cast<net::endpoint_id>(rank_);
-      for (const auto& c : transport_->extra_link_counters(own_ep)) {
-        reg.add_remote(lid, p + "/net/" + c.name);
-      }
-      continue;
-    }
-
-    threads::scheduler& sched = loc->sched();
-    reg.add(lid, p + "/sched/ready_depth",
-            [&sched] { return sched.ready_estimate(); });
-    reg.add(lid, p + "/sched/live_threads",
-            [&sched] { return sched.live_threads(); });
-    reg.add(lid, p + "/sched/spawned",
-            [&sched] { return sched.spawn_count(); });
-    reg.add(lid, p + "/sched/steals",
-            [&sched] { return sched.stats().steals; });
-    reg.add(lid, p + "/sched/suspends",
-            [&sched] { return sched.stats().suspends; });
-    reg.add(lid, p + "/sched/sleeps",
-            [&sched] { return sched.stats().sleeps; });
-
-    reg.add(lid, p + "/parcels/sent",
-            [loc] { return loc->stats().parcels_sent; });
-    reg.add(lid, p + "/parcels/delivered",
-            [loc] { return loc->stats().parcels_delivered; });
-    reg.add(lid, p + "/parcels/forwarded",
-            [loc] { return loc->stats().parcels_forwarded; });
-    reg.add(lid, p + "/parcels/dropped",
-            [loc] { return loc->stats().parcels_dropped; });
-
-    reg.add(lid, p + "/port/pending", [port] { return port->pending(); });
-    reg.add(lid, p + "/port/enqueued",
-            [port] { return port->enqueued_total(); });
-    reg.add(lid, p + "/port/frames_sent",
-            [port] { return port->stats().frames_sent; });
-    reg.add(lid, p + "/port/eager_flushes",
-            [port] { return port->stats().eager_flushes; });
-
-    net::transport* t = transport_;
     const auto ep = static_cast<net::endpoint_id>(i);
-    reg.add(lid, p + "/fabric/frames_sent",
-            [t, ep] { return t->stats(ep).messages_sent; });
-    reg.add(lid, p + "/fabric/parcels_sent",
-            [t, ep] { return t->stats(ep).parcels_sent; });
-    reg.add(lid, p + "/fabric/bytes_sent",
-            [t, ep] { return t->stats(ep).bytes_sent; });
+    const std::string p = "runtime/loc" + std::to_string(i);
+    const bool hosted = loc != nullptr;
+    auto row = [&](const std::string& path, introspect::sample_fn fn) {
+      if (hosted) {
+        reg.add(lid, p + path, std::move(fn));
+      } else {
+        reg.add_remote(lid, p + path);
+      }
+    };
+    auto hist_row = [&](const std::string& path, introspect::hist_fn fn) {
+      if (hosted) {
+        reg.add_hist(lid, p + path, std::move(fn));
+      } else {
+        reg.add_remote(lid, p + path);
+      }
+    };
 
-    reg.add(lid, p + "/monitor/ready_ewma_milli",
-            [mon] { return mon->ready_ewma_milli(); });
-    reg.add(lid, p + "/monitor/samples",
-            [mon] { return mon->samples_taken(); });
+    row("/sched/ready_depth",
+        [loc] { return loc->sched().ready_estimate(); });
+    row("/sched/live_threads",
+        [loc] { return loc->sched().live_threads(); });
+    row("/sched/spawned", [loc] { return loc->sched().spawn_count(); });
+    row("/sched/steals", [loc] { return loc->sched().stats().steals; });
+    row("/sched/suspends", [loc] { return loc->sched().stats().suspends; });
+    row("/sched/sleeps", [loc] { return loc->sched().stats().sleeps; });
+
+    row("/parcels/sent", [loc] { return loc->stats().parcels_sent; });
+    row("/parcels/delivered",
+        [loc] { return loc->stats().parcels_delivered; });
+    row("/parcels/forwarded",
+        [loc] { return loc->stats().parcels_forwarded; });
+    row("/parcels/dropped", [loc] { return loc->stats().parcels_dropped; });
+
+    row("/port/pending", [port] { return port->pending(); });
+    row("/port/enqueued", [port] { return port->enqueued_total(); });
+    row("/port/frames_sent", [port] { return port->stats().frames_sent; });
+    row("/port/eager_flushes",
+        [port] { return port->stats().eager_flushes; });
+
+    row("/fabric/frames_sent",
+        [t, ep] { return t->stats(ep).messages_sent; });
+    row("/fabric/parcels_sent",
+        [t, ep] { return t->stats(ep).parcels_sent; });
+    row("/fabric/bytes_sent", [t, ep] { return t->stats(ep).bytes_sent; });
 
     // Per-locality wire totals (PR 4): what this endpoint's transport put
     // on and took off the wire — the rebalancer's (and any dashboard's)
     // view of real-network traffic, not just the modeled fabric's.
-    reg.add(lid, p + "/net/bytes_tx",
-            [t, ep] { return t->link(ep).bytes_tx; });
-    reg.add(lid, p + "/net/bytes_rx",
-            [t, ep] { return t->link(ep).bytes_rx; });
-    reg.add(lid, p + "/net/msgs_tx",
-            [t, ep] { return t->link(ep).msgs_tx; });
-    reg.add(lid, p + "/net/msgs_rx",
-            [t, ep] { return t->link(ep).msgs_rx; });
+    row("/net/bytes_tx", [t, ep] { return t->link(ep).bytes_tx; });
+    row("/net/bytes_rx", [t, ep] { return t->link(ep).bytes_rx; });
+    row("/net/msgs_tx", [t, ep] { return t->link(ep).msgs_tx; });
+    row("/net/msgs_rx", [t, ep] { return t->link(ep).msgs_rx; });
     // Flight-recorder totals.  The recorder is a process singleton, so in
     // the sim shape every locality row reads the same process-wide value;
     // distributed (one locality per process) the row is genuinely
-    // per-rank.  Registered before the backend extras to keep positional
-    // gid order identical to the remote replay above.
-    reg.add(lid, p + "/trace/events",
-            [] { return trace::recorder::global().events_total(); });
-    reg.add(lid, p + "/trace/drops",
-            [] { return trace::recorder::global().drops_total(); });
+    // per-rank.
+    row("/trace/events",
+        [] { return trace::recorder::global().events_total(); });
+    row("/trace/drops", [] { return trace::recorder::global().drops_total(); });
     // Telemetry distributions (populated only while PX_STATS is armed).
     // The registry slot reads the population count; quantiles go through
     // read_quantile / px.query_hist, and the stats sampler expands each
-    // into per-quantile series.  Histogram gids are positional like every
-    // other counter, so the remote arm replays them with plain add_remote.
-    reg.add_hist(lid, p + "/parcels/hist_dispatch_ns",
-                 [loc] { return loc->dispatch_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_run_ns",
-                 [&sched] { return sched.run_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_wait_ns",
-                 [&sched] { return sched.wait_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_ready_depth",
-                 [mon] { return mon->depth_hist_snapshot(); });
+    // into per-quantile series.
+    hist_row("/parcels/hist_dispatch_ns",
+             [loc] { return loc->dispatch_hist_snapshot(); });
+    hist_row("/sched/hist_run_ns",
+             [loc] { return loc->sched().run_hist_snapshot(); });
+    hist_row("/sched/hist_wait_ns",
+             [loc] { return loc->sched().wait_hist_snapshot(); });
     // Sampler self-observation (like /trace/*: a process singleton read
     // through every locality row in the sim shape, genuinely per-rank
     // distributed).
     introspect::stats_collector* st = stats_.get();
-    reg.add(lid, p + "/stats/ticks", [st] { return st->ticks(); });
-    reg.add(lid, p + "/stats/dropped_points",
-            [st] { return st->dropped_points(); });
+    row("/stats/ticks", [st] { return st->ticks(); });
+    row("/stats/dropped_points", [st] { return st->dropped_points(); });
     // Backend-specific rows (tcp: reconnects, direct_sends; shm:
     // ring_full_waits, wakeups; sim: none) — registered only when the
     // active backend actually maintains them, so the schema never carries
-    // an always-zero row for a counter the backend cannot produce.
-    const auto extras = t->extra_link_counters(ep);
+    // an always-zero row for a counter the backend cannot produce.  A
+    // remote slot takes the names from this process's own endpoint
+    // (sampling a remote endpoint's books locally would assert); every
+    // rank runs the same backend, so the sequence still matches.
+    const auto extras = t->extra_link_counters(hosted ? ep : own_ep);
     for (std::size_t k = 0; k < extras.size(); ++k) {
-      reg.add(lid, p + "/net/" + extras[k].name,
-              [t, ep, k] { return t->extra_link_counters(ep)[k].value; });
+      row(std::string("/net/") + extras[k].name,
+          [t, ep, k] { return t->extra_link_counters(ep)[k].value; });
     }
   }
 
   // Machine-global services, homed where they conceptually live (loc 0 ==
-  // rank 0; other ranks replay the schema sampler-less).
-  auto& reg = introspect_;
-  if (distributed_ && rank_ != 0) {
-    for (const char* path :
-         {"runtime/agas/binds", "runtime/agas/cache_hits",
-          "runtime/agas/cache_misses", "runtime/agas/migrations",
-          "runtime/agas/stale_refreshes", "runtime/agas/hint_evictions",
-          "runtime/agas/gids_lost",
-          "runtime/lco/depleted_threads",
-          "runtime/lco/continuations", "runtime/lco/fires",
-          "runtime/fabric/in_flight", "runtime/rebalance/rounds",
-          "runtime/rebalance/triggers", "runtime/rebalance/migrations",
-          "runtime/rebalance/redirects",
-          "runtime/rebalance/imbalance_milli",
-          "runtime/patterns/pipelines", "runtime/patterns/pipeline_items",
-          "runtime/patterns/map_reduce_jobs", "runtime/patterns/map_tasks",
-          "runtime/patterns/pool_tasks", "runtime/patterns/nested"}) {
+  // rank 0; other ranks register the same rows sampler-less).
+  const bool home = !distributed_ || rank_ == 0;
+  auto global = [&](const char* path, introspect::sample_fn fn) {
+    if (home) {
+      reg.add(0, path, std::move(fn));
+    } else {
       reg.add_remote(0, path);
     }
-    return;
-  }
-  reg.add(0, "runtime/agas/binds", [this] { return agas_.stats().binds; });
-  reg.add(0, "runtime/agas/cache_hits",
-          [this] { return agas_.stats().cache_hits; });
-  reg.add(0, "runtime/agas/cache_misses",
-          [this] { return agas_.stats().cache_misses; });
-  reg.add(0, "runtime/agas/migrations",
-          [this] { return agas_.stats().migrations; });
-  reg.add(0, "runtime/agas/stale_refreshes",
-          [this] { return agas_.stats().stale_refreshes; });
-  reg.add(0, "runtime/agas/hint_evictions",
-          [this] { return agas_.stats().hint_evictions; });
+  };
+  auto raw = [](const std::atomic<std::uint64_t>& a) {
+    return [&a] { return a.load(std::memory_order_relaxed); };
+  };
+  global("runtime/agas/binds", [this] { return agas_.stats().binds; });
+  global("runtime/agas/cache_hits",
+         [this] { return agas_.stats().cache_hits; });
+  global("runtime/agas/cache_misses",
+         [this] { return agas_.stats().cache_misses; });
+  global("runtime/agas/migrations",
+         [this] { return agas_.stats().migrations; });
+  global("runtime/agas/stale_refreshes",
+         [this] { return agas_.stats().stale_refreshes; });
+  global("runtime/agas/hint_evictions",
+         [this] { return agas_.stats().hint_evictions; });
   // Unique gids that can no longer resolve because they died with a lost
   // rank (docs/resilience.md); 0 for the whole life of a healthy machine.
-  reg.add(0, "runtime/agas/gids_lost", [this] { return gids_lost(); });
+  global("runtime/agas/gids_lost", [this] { return gids_lost(); });
 
-  reg.add_raw(0, "runtime/lco/depleted_threads",
-              lco::lco_counters::depleted_threads_created);
-  reg.add_raw(0, "runtime/lco/continuations",
-              lco::lco_counters::continuations_attached);
-  reg.add_raw(0, "runtime/lco/fires", lco::lco_counters::fires);
+  global("runtime/lco/depleted_threads",
+         raw(lco::lco_counters::depleted_threads_created));
+  global("runtime/lco/continuations",
+         raw(lco::lco_counters::continuations_attached));
+  global("runtime/lco/fires", raw(lco::lco_counters::fires));
 
-  reg.add(0, "runtime/fabric/in_flight",
-          [this] { return transport_->in_flight(); });
+  global("runtime/fabric/in_flight", [t] { return t->in_flight(); });
 
   rebalancer* bal = balancer_.get();
-  reg.add(0, "runtime/rebalance/rounds",
-          [bal] { return bal->stats().rounds; });
-  reg.add(0, "runtime/rebalance/triggers",
-          [bal] { return bal->stats().triggers; });
-  reg.add(0, "runtime/rebalance/migrations",
-          [bal] { return bal->stats().objects_migrated; });
-  reg.add(0, "runtime/rebalance/redirects",
-          [bal] { return bal->stats().placement_redirects; });
-  reg.add(0, "runtime/rebalance/imbalance_milli", [bal] {
+  global("runtime/rebalance/rounds", [bal] { return bal->stats().rounds; });
+  global("runtime/rebalance/triggers",
+         [bal] { return bal->stats().triggers; });
+  global("runtime/rebalance/migrations",
+         [bal] { return bal->stats().objects_migrated; });
+  global("runtime/rebalance/redirects",
+         [bal] { return bal->stats().placement_redirects; });
+  global("runtime/rebalance/imbalance_milli", [bal] {
     return static_cast<std::uint64_t>(bal->stats().last_imbalance * 1000.0);
   });
 
   // Pattern-library counters (src/patterns): process-wide statics, homed at
   // rank 0 like the other global services.
-  reg.add_raw(0, "runtime/patterns/pipelines",
-              patterns::pattern_counters::pipelines_built);
-  reg.add_raw(0, "runtime/patterns/pipeline_items",
-              patterns::pattern_counters::pipeline_items);
-  reg.add_raw(0, "runtime/patterns/map_reduce_jobs",
-              patterns::pattern_counters::map_reduce_jobs);
-  reg.add_raw(0, "runtime/patterns/map_tasks",
-              patterns::pattern_counters::map_tasks);
-  reg.add_raw(0, "runtime/patterns/pool_tasks",
-              patterns::pattern_counters::pool_tasks);
-  reg.add_raw(0, "runtime/patterns/nested",
-              patterns::pattern_counters::nested_patterns);
+  global("runtime/patterns/pipelines",
+         raw(patterns::pattern_counters::pipelines_built));
+  global("runtime/patterns/pipeline_items",
+         raw(patterns::pattern_counters::pipeline_items));
+  global("runtime/patterns/map_reduce_jobs",
+         raw(patterns::pattern_counters::map_reduce_jobs));
+  global("runtime/patterns/map_tasks",
+         raw(patterns::pattern_counters::map_tasks));
+  global("runtime/patterns/pool_tasks",
+         raw(patterns::pattern_counters::pool_tasks));
+  global("runtime/patterns/nested",
+         raw(patterns::pattern_counters::nested_patterns));
 }
 
 runtime::~runtime() {
@@ -720,11 +669,11 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
     if (home != rank_) {
       // The authoritative directory shard lives in the (effective) home
       // rank's process.  A forwarding-cache hint (learned from a home
-      // forward's piggyback or an explicit px.agas_resolve) short-circuits
-      // the extra hop — unless it points at a casualty (purged on the
-      // death verdict, but a racing read can still see one), and absent a
-      // hint the parcel routes to the home, whose directory forwards it
-      // onward — always correct, at most one hop stale.
+      // forward's piggyback) short-circuits the extra hop — unless it
+      // points at a casualty (purged on the death verdict, but a racing
+      // read can still see one), and absent a hint the parcel routes to
+      // the home, whose directory forwards it onward — always correct, at
+      // most one hop stale.
       if (const auto hint = agas_.cached(rank_, id)) {
         if (((peer_dead_mask_.load(std::memory_order_acquire) >> *hint) &
              1u) == 0) {

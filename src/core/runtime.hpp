@@ -62,7 +62,6 @@
 #include "core/rebalancer.hpp"
 #include "gas/agas.hpp"
 #include "gas/name_service.hpp"
-#include "introspect/monitor.hpp"
 #include "introspect/registry.hpp"
 #include "introspect/stats.hpp"
 #include "net/fabric.hpp"
@@ -181,12 +180,9 @@ class runtime {
   percolation_manager& percolation_mgr() noexcept { return *percolation_; }
 
   // Introspection: the counter registry (every counter is gid-addressable
-  // and path-named; see introspect/registry.hpp), the per-locality load
-  // monitors, and the adaptive rebalancer acting on them.
+  // and path-named; see introspect/registry.hpp) and the adaptive
+  // rebalancer acting on the schedulers' ready depths.
   introspect::registry& introspection() noexcept { return introspect_; }
-  introspect::monitor& monitor_at(gas::locality_id id) {
-    return *monitors_.at(id);
-  }
   rebalancer& balancer() noexcept { return *balancer_; }
 
   // The typed hardware gid naming locality `id` (paper: hardware resources
@@ -377,12 +373,11 @@ class runtime {
   introspect::registry introspect_;
   // Declaration order is load-bearing for destruction: the transport must
   // die first (its progress thread's handlers and idle callback reference
-  // the localities, ports, monitors, and rebalancer), so fabric_/dist_ are
+  // the localities, ports, and rebalancer), so fabric_/dist_ are
   // declared last of this group; the bootstrap (plain sockets, no
   // callbacks) may outlive the transport.
   std::vector<std::unique_ptr<locality>> localities_;  // sparse when distributed
   std::vector<std::unique_ptr<parcel_port>> ports_;  // one per local locality
-  std::vector<std::unique_ptr<introspect::monitor>> monitors_;
   std::unique_ptr<rebalancer> balancer_;
   std::unique_ptr<net::bootstrap> bootstrap_;  // distributed control plane
   // PX_FAULT injector, armed on dist_'s send seam; declared before the

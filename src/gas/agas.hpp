@@ -16,9 +16,9 @@
 // is the single authority for that gid machine-wide.  The local cache slot
 // of the process's rank doubles as its *forwarding cache* for
 // remotely-homed gids: entries arrive as owner hints piggybacked by home
-// ranks when they forward a parcel (gas/resolve.hpp), or from an explicit
-// px.agas_resolve round trip, and are only ever hints — a parcel routed on
-// a stale one lands at the old owner and heals through home forwarding.
+// ranks when they forward a parcel (gas/resolve.hpp), and are only ever
+// hints — a parcel routed on a stale one lands at the old owner and heals
+// through home forwarding.
 // cached()/note_owner() are that hint surface; the directory methods
 // (bind/unbind/migrate/resolve_authoritative) must only be called for gids
 // homed at this process's rank.

@@ -8,38 +8,12 @@ namespace px::gas {
 
 namespace {
 
-// Both protocol actions are raw-registered (non-spawning, like px.sink):
-// an authoritative lookup is a spinlocked map read and a hint install a
-// spinlocked map write, and the ranks involved — the home of a hot object,
-// a sender mid-storm — are exactly the ones whose workers may be
-// monopolized; AGAS service traffic must not queue behind user fibers.
-
-// Runs at the gid's home rank: the local directory shard is authoritative
-// there.  Replies invalid_locality for unbound gids (the caller decides
-// whether that is an error), and refreshes the home's own cache as a side
-// effect of the authoritative lookup.
-parcel::action_id agas_resolve_action_id() {
-  static const parcel::action_id aid =
-      parcel::action_registry::global().register_action(
-          "px.agas_resolve", +[](void* ctx, const parcel::parcel_view& pv) {
-            auto* loc = static_cast<core::locality*>(ctx);
-            const auto bits = util::from_bytes<std::uint64_t>(pv.arguments());
-            const gid id = gid::from_bits(bits);
-            // effective_home: the casualty's successor answers for its
-            // adopted shard after a rank loss (docs/resilience.md).
-            PX_ASSERT_MSG(loc->rt().effective_home(id) == loc->id(),
-                          "px.agas_resolve parcel landed off the home rank");
-            const auto owner =
-                loc->rt().gas().resolve_authoritative(loc->id(), id);
-            core::send_continuation_reply(
-                *loc, pv.cont(),
-                util::to_bytes(static_cast<std::uint64_t>(
-                    owner.value_or(invalid_locality))));
-          });
-  return aid;
-}
-
-// Runs at the hinted rank: install (or drop) the forwarding-cache entry.
+// The hint action is raw-registered (non-spawning, like px.sink): a hint
+// install is a spinlocked map write, and the ranks involved — the home of
+// a hot object, a sender mid-storm — are exactly the ones whose workers
+// may be monopolized; AGAS service traffic must not queue behind user
+// fibers.  Runs at the hinted rank: install (or drop) the forwarding-cache
+// entry.
 parcel::action_id agas_hint_action_id() {
   static const parcel::action_id aid =
       parcel::action_registry::global().register_action(
@@ -59,38 +33,11 @@ parcel::action_id agas_hint_action_id() {
   return aid;
 }
 
-// Eager: action ids are positional; every rank mints these at boot.
-[[maybe_unused]] const parcel::action_id k_agas_resolve_registration =
-    agas_resolve_action_id();
+// Eager: action ids are positional; every rank mints this at boot.
 [[maybe_unused]] const parcel::action_id k_agas_hint_registration =
     agas_hint_action_id();
 
-void send_resolve(core::locality& from, gid id, parcel::continuation cont) {
-  parcel::parcel p;
-  p.destination = from.rt().locality_gid(from.rt().effective_home(id));
-  p.action = agas_resolve_action_id();
-  p.cont = cont;
-  p.arguments = util::to_bytes(id.bits());
-  from.send(std::move(p));
-}
-
 }  // namespace
-
-lco::future<std::uint64_t> resolve_owner_async(core::locality& from, gid id) {
-  lco::promise<std::uint64_t> prom;
-  auto fut = prom.get_future();
-  send_resolve(from, id,
-               core::make_promise_sink<std::uint64_t>(from, std::move(prom)));
-  return fut;
-}
-
-std::optional<locality_id> resolve_remote(core::locality& from, gid id) {
-  auto fut = resolve_owner_async(from, id);
-  const auto owner = static_cast<locality_id>(fut.get());
-  if (owner == invalid_locality) return std::nullopt;
-  from.rt().gas().note_owner(from.id(), id, owner);
-  return owner;
-}
 
 void send_owner_hint(core::locality& from, locality_id to_rank, gid id,
                      locality_id owner) {

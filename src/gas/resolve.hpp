@@ -3,13 +3,9 @@
 // A gid's home directory lives in its home rank's process (agas.hpp), so a
 // sender on another rank has only two sources of truth about the current
 // owner: route to the *home* (always correct, possibly one forward hop
-// stale) or its local *forwarding cache* of owner hints.  Three parcels
-// keep the caches converging without any coherence traffic:
+// stale) or its local *forwarding cache* of owner hints.  One parcel keeps
+// the caches converging without any coherence traffic:
 //
-//   px.agas_resolve   explicit refresh — ask the home rank for the current
-//                     owner (an ordinary typed-action round trip paying
-//                     fabric latency; resolve_remote() wraps it and
-//                     installs the answer in the local cache);
 //   px.agas_hint      owner hint — when a home rank forwards a parcel for
 //                     an object that migrated away, it piggybacks the
 //                     current owner back to the parcel's source so that
@@ -24,27 +20,13 @@
 // forward (runtime::route's max_forwards budget), never correctness.
 #pragma once
 
-#include <optional>
-
 #include "gas/gid.hpp"
-#include "lco/lco.hpp"
 
 namespace px::core {
 class locality;
 }
 
 namespace px::gas {
-
-// Asks `id`'s home rank for the current owner (split-phase; the future is
-// satisfied by the reply parcel).  Resolves to invalid_locality when the
-// gid is unbound at its home.  The value is a locality_id widened to the
-// action result type; narrow with static_cast<locality_id>.
-lco::future<std::uint64_t> resolve_owner_async(core::locality& from, gid id);
-
-// Blocking convenience (must run on a ParalleX thread): round-trips to the
-// home rank, installs the answer as a forwarding hint in `from`'s cache,
-// and returns it; nullopt for unbound gids.
-std::optional<locality_id> resolve_remote(core::locality& from, gid id);
 
 // Ships an owner hint (or an invalidation, owner == invalid_locality) to
 // `to_rank`'s forwarding cache.  Fire-and-forget.

@@ -6,15 +6,6 @@
 
 namespace px::gilgamesh {
 
-const char* to_string(placement_policy p) noexcept {
-  switch (p) {
-    case placement_policy::mind_only: return "mind-only";
-    case placement_policy::accel_only: return "accel-only";
-    case placement_policy::adaptive: return "adaptive";
-  }
-  return "?";
-}
-
 chip_model::chip_model(chip_model_params params) : params_(params) {
   PX_ASSERT(params_.mind_nodes >= 1);
 }

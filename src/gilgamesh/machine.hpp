@@ -54,8 +54,6 @@ enum class placement_policy {
   adaptive,  // locality >= threshold -> accelerator, else MIND
 };
 
-const char* to_string(placement_policy p) noexcept;
-
 struct modality_result {
   double makespan_ns = 0.0;
   double accel_busy_ns = 0.0;      // accelerator compute occupancy

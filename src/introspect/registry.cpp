@@ -33,12 +33,6 @@ gas::gid registry::add(gas::locality_id home, std::string path,
   return register_entry(home, std::move(path), std::move(fn));
 }
 
-gas::gid registry::add_raw(gas::locality_id home, std::string path,
-                           const std::atomic<std::uint64_t>& raw) {
-  return add(home, std::move(path),
-             [&raw] { return raw.load(std::memory_order_relaxed); });
-}
-
 gas::gid registry::add_remote(gas::locality_id home, std::string path) {
   return register_entry(home, std::move(path), nullptr);
 }
@@ -112,11 +106,6 @@ std::vector<counter_info> registry::list(std::string_view prefix) const {
     out.push_back(counter_info{std::move(path), id});
   }
   return out;
-}
-
-std::size_t registry::size() const {
-  std::lock_guard lock(lock_);
-  return counters_.size();
 }
 
 std::vector<counter_sample> registry::snapshot_all() const {

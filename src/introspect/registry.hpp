@@ -18,11 +18,10 @@
 // Cost model: registration happens at runtime construction (spinlocked);
 // reads take the same spinlock only to find the entry — the sample
 // callbacks themselves are relaxed-atomic loads or O(workers) scans, so a
-// monitor sampling every counter steals microseconds, not milliseconds,
+// sampler reading every counter steals microseconds, not milliseconds,
 // from the execution sites it watches.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -80,11 +79,6 @@ class registry {
   // the path in the symbolic name space.  Asserts on duplicate paths.
   gas::gid add(gas::locality_id home, std::string path, sample_fn fn);
 
-  // Convenience for the common case: the counter is an existing relaxed
-  // atomic (locality stats, fabric stats, lco_counters, ...).
-  gas::gid add_raw(gas::locality_id home, std::string path,
-                   const std::atomic<std::uint64_t>& raw);
-
   // Registers a counter that is *sampled elsewhere*: allocates and names
   // the gid exactly like add(), but installs no sampler (read() here
   // returns nullopt; query_counter routes to the home rank, whose registry
@@ -127,8 +121,6 @@ class registry {
   // All counters under `prefix` (name-service segment semantics), sampled
   // lazily by the caller via read().
   std::vector<counter_info> list(std::string_view prefix) const;
-
-  std::size_t size() const;
 
   // Samples every *locally-sampled* counter (add_remote entries are
   // skipped — their live callbacks belong to another rank) into a

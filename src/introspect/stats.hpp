@@ -52,7 +52,7 @@ namespace px::introspect {
 namespace detail {
 // Constant-initialized at namespace scope for the same reason as
 // trace::detail::g_enabled: the disabled fast path in every
-// instrumentation site (parcel deliver, scheduler run/wait, monitor tick)
+// instrumentation site (parcel deliver, scheduler run/wait)
 // must be one relaxed load + branch, with no init-guard.
 extern std::atomic<bool> g_stats_enabled;
 }  // namespace detail

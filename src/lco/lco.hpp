@@ -28,7 +28,7 @@
 
 namespace px::lco {
 
-// Global counters for the micro-cost experiment (THR-1) and tests.
+// Global LCO event counters (the runtime/lco/* rows) and tests.
 struct lco_counters {
   static std::atomic<std::uint64_t> depleted_threads_created;
   static std::atomic<std::uint64_t> continuations_attached;

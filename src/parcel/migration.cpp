@@ -25,9 +25,4 @@ const migratable_registry::vtable* migratable_registry::find(
   return it != types_.end() ? &it->second : nullptr;
 }
 
-std::size_t migratable_registry::size() const {
-  std::lock_guard lock(lock_);
-  return types_.size();
-}
-
 }  // namespace px::parcel

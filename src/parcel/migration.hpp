@@ -80,8 +80,6 @@ class migratable_registry {
   // process lifetime (entries are never removed).
   const vtable* find(const std::string& name) const;
 
-  std::size_t size() const;
-
  private:
   mutable util::spinlock lock_;
   std::map<std::string, vtable> types_;

@@ -1,5 +1,5 @@
 // Monotonic nanosecond timestamp shared by the runtime's rate gates
-// (monitor sampling, rebalance polling, parcel-port burst detection).
+// (rebalance polling, parcel-port burst detection).
 #pragma once
 
 #include <chrono>

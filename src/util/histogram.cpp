@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 
 namespace px::util {
@@ -128,19 +127,6 @@ double log_histogram::quantile(double q) const noexcept {
 running_stats log_histogram::stats() const noexcept {
   std::lock_guard lock(lock_);
   return stats_;
-}
-
-std::string log_histogram::summary(const std::string& unit) const {
-  const log_histogram snap = snapshot();
-  char buf[224];
-  std::snprintf(
-      buf, sizeof buf,
-      "n=%llu mean=%.3g p50=%.3g p95=%.3g p99=%.3g p999=%.3g max=%.3g %s",
-      static_cast<unsigned long long>(snap.total_), snap.stats_.mean(),
-      snap.quantile_locked(0.50), snap.quantile_locked(0.95),
-      snap.quantile_locked(0.99), snap.quantile_locked(0.999),
-      snap.stats_.max(), unit.c_str());
-  return buf;
 }
 
 }  // namespace px::util

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/spinlock.hpp"
@@ -77,7 +76,6 @@ class log_histogram {
   // Moment accessors; taken from a locked copy so concurrent adds cannot
   // tear the Welford state mid-read.
   running_stats stats() const noexcept;
-  std::string summary(const std::string& unit = "") const;
 
  private:
   static constexpr int kBuckets = 64;

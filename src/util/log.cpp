@@ -1,6 +1,5 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -9,7 +8,7 @@ namespace px::util {
 
 namespace {
 
-std::atomic<int> g_level = [] {
+const int g_level = [] {
   if (const char* env = std::getenv("PX_LOG_LEVEL")) {
     return static_cast<int>(parse_log_level(env));
   }
@@ -31,14 +30,6 @@ const char* level_name(log_level level) noexcept {
 
 }  // namespace
 
-log_level get_log_level() noexcept {
-  return static_cast<log_level>(g_level.load(std::memory_order_relaxed));
-}
-
-void set_log_level(log_level level) noexcept {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 log_level parse_log_level(const std::string& name) noexcept {
   if (name == "debug") return log_level::debug;
   if (name == "info") return log_level::info;
@@ -49,7 +40,7 @@ log_level parse_log_level(const std::string& name) noexcept {
 }
 
 void vlog(log_level level, const char* fmt, std::va_list args) {
-  if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) {
+  if (static_cast<int>(level) < g_level) {
     return;
   }
   std::lock_guard lock(g_log_mutex);
@@ -59,7 +50,7 @@ void vlog(log_level level, const char* fmt, std::va_list args) {
 }
 
 void log(log_level level, const char* fmt, ...) {
-  if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) {
+  if (static_cast<int>(level) < g_level) {
     return;
   }
   std::va_list args;

@@ -1,7 +1,7 @@
 // Minimal leveled logger.
 //
 // The runtime logs only lifecycle events and anomalies; hot paths never log.
-// Level is settable at runtime (PX_LOG_LEVEL=debug|info|warn|error|off).
+// Level comes from PX_LOG_LEVEL=debug|info|warn|error|off (default warn).
 #pragma once
 
 #include <cstdarg>
@@ -11,8 +11,6 @@ namespace px::util {
 
 enum class log_level : int { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
 
-log_level get_log_level() noexcept;
-void set_log_level(log_level level) noexcept;
 log_level parse_log_level(const std::string& name) noexcept;
 
 void vlog(log_level level, const char* fmt, std::va_list args);

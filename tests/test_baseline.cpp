@@ -115,15 +115,22 @@ TEST(Csp, LatencyIsImposedOnBlockingRecv) {
   csp_params p = quick(2);
   p.fabric.base_latency_ns = 2'000'000;  // 2ms
   csp_runtime rt(p);
+  // The clock starts at the send, not at the receiver's entry into
+  // recv_value: a receiver thread that starts late would otherwise have
+  // part of the modelled latency elapse before its clock starts.
+  std::atomic<std::int64_t> sent_ticks{0};
   std::atomic<std::int64_t> wait_us{0};
   rt.run([&](rank_context& ctx) {
     if (ctx.rank() == 0) {
+      sent_ticks.store(
+          std::chrono::steady_clock::now().time_since_epoch().count());
       ctx.send_value(1, 1, 0);
     } else {
-      const auto start = std::chrono::steady_clock::now();
       (void)ctx.recv_value<int>(0, 1);
+      const std::chrono::steady_clock::time_point sent{
+          std::chrono::steady_clock::duration{sent_ticks.load()}};
       wait_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
+                        std::chrono::steady_clock::now() - sent)
                         .count());
     }
   });

@@ -5,7 +5,8 @@
 //
 //   * every counter path the introspection registry actually exposes
 //     appears in docs/counters.md (per-locality paths normalized to the
-//     documented loc<i> placeholder), so the counter reference always
+//     documented loc<i> placeholder), and every path a two-column row of
+//     that page documents is live, so the counter reference always
 //     matches the schema the code registers;
 //   * every knob in util::config::known_knobs() is documented in
 //     docs/counters.md AND is accepted by the environment-loading path
@@ -15,6 +16,7 @@
 //     cannot drift ahead of the code either.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <regex>
@@ -67,6 +69,53 @@ TEST(Docs, EveryLiveCounterPathIsDocumented) {
       << [&] {
            std::string out;
            for (const auto& m : missing) out += m + "\n  ";
+           return out;
+         }();
+}
+
+// The reverse direction: a documented row must name a counter the code
+// still registers.  Only two-column tables (| path | meaning |) are
+// checked; the three-column backend-specific rows (| path | backend |
+// meaning |) do not exist under the sim backend this test boots.
+TEST(Docs, EveryDocumentedCounterIsLive) {
+  const std::string doc = read_doc("docs/counters.md");
+  ASSERT_FALSE(doc.empty());
+
+  core::runtime_params p;
+  p.localities = 2;
+  p.workers_per_locality = 1;
+  core::runtime rt(p);
+
+  static const std::regex row_re("^\\| `(runtime/[^`]+)` \\|");
+  static const std::regex loc_re("loc<i>");
+  std::istringstream lines(doc);
+  std::string line;
+  std::size_t columns = 0;
+  std::size_t checked = 0;
+  std::set<std::string> dead;
+  while (std::getline(lines, line)) {
+    if (line.rfind("| path |", 0) == 0) {
+      columns = static_cast<std::size_t>(
+                    std::count(line.begin(), line.end(), '|')) - 1;
+      continue;
+    }
+    std::smatch m;
+    if (columns != 2 || !std::regex_search(line, m, row_re)) continue;
+    const std::string documented = m[1].str();
+    for (const char* loc : {"loc0", "loc1"}) {
+      const std::string path = std::regex_replace(documented, loc_re, loc);
+      ++checked;
+      if (!rt.introspection().read(path).has_value()) dead.insert(path);
+      if (path == documented) break;  // a machine-global row
+    }
+  }
+  EXPECT_GT(checked, 40u);
+  EXPECT_TRUE(dead.empty())
+      << "docs/counters.md documents counter paths the runtime does not "
+         "register:\n  "
+      << [&] {
+           std::string out;
+           for (const auto& d : dead) out += d + "\n  ";
            return out;
          }();
 }

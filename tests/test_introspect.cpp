@@ -1,18 +1,18 @@
 // Introspection + adaptive rebalancing: counter registry (gid-addressable,
-// path-named), cross-locality query_counter round trips, the per-locality
-// load monitor, and the rebalancer's two actuators (hot-object migration,
-// spawn_any placement steering).
+// path-named), cross-locality query_counter round trips, the rebalancer's
+// decision, and its two actuators (hot-object migration, spawn_any
+// placement steering).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/action.hpp"
 #include "core/process.hpp"
 #include "core/runtime.hpp"
-#include "introspect/monitor.hpp"
 #include "introspect/query.hpp"
 #include "threads/scheduler.hpp"
 
@@ -78,7 +78,7 @@ TEST(Introspect, ListEnumeratesCounterSubtrees) {
   p.workers_per_locality = 1;
   core::runtime rt(p);
 
-  // Per-locality subtree: scheduler, parcels, port, fabric, monitor.
+  // Per-locality subtree: scheduler, parcels, port, fabric, net, trace.
   const auto loc1 = rt.introspection().list("runtime/loc1");
   EXPECT_GE(loc1.size(), 15u);
   for (const auto& c : loc1) {
@@ -186,42 +186,66 @@ TEST(Introspect, QueryCounterCrossLocalityReturnsLiveValue) {
   rt.stop();
 }
 
-// ----------------------------------------------------------------- monitor
-
-TEST(Introspect, MonitorSamplesReadyDepthAndDecays) {
-  threads::scheduler sched(threads::scheduler_params{.workers = 1});
-  introspect::monitor mon(sched,
-                          introspect::monitor_params{
-                              .sample_interval_us = 0, .alpha = 0.5});
-  sched.start();
-
-  std::atomic<bool> release{false};
-  constexpr int kSpinners = 9;
-  for (int i = 0; i < kSpinners; ++i) {
-    sched.spawn([&release] {
-      while (!release.load(std::memory_order_acquire)) {
-        threads::scheduler::yield();
-      }
-    });
-  }
-  // One spinner occupies the worker; the rest sit ready.
-  ASSERT_TRUE(eventually(
-      [&] { return sched.ready_estimate() >= kSpinners - 1; }));
-  mon.tick();
-  EXPECT_GE(mon.samples_taken(), 1u);
-  EXPECT_GT(mon.ready_ewma(), 0.0);
-
-  release.store(true, std::memory_order_release);
-  sched.wait_quiescent();
-  EXPECT_EQ(mon.ready_now(), 0u);
-  const double loaded = mon.ready_ewma();
-  for (int i = 0; i < 24; ++i) mon.tick();
-  EXPECT_LT(mon.ready_ewma(), loaded);
-  EXPECT_LT(mon.ready_ewma(), 0.1);  // decayed to idle
-  sched.stop();
-}
-
 // -------------------------------------------------------------- rebalancer
+
+// The one decision both machine shapes run (in-process over live reads,
+// distributed over probe replies), as a table of depth snapshots.
+TEST(Rebalancer, OneDecisionForBothShapes) {
+  core::rebalancer_params p;
+  p.threshold = 2.0;
+  p.min_depth = 8;
+  p.max_migrations = 4;
+  using dest = std::pair<std::uint64_t, gas::locality_id>;
+  constexpr auto any = gas::invalid_locality;
+
+  // Balanced: deep enough, but max/mean is 1.
+  auto plan = core::rebalancer::decide({20, 20, 20, 20}, p);
+  EXPECT_FALSE(plan.trigger);
+  EXPECT_DOUBLE_EQ(plan.imbalance, 1.0);
+  EXPECT_TRUE(plan.dests.empty());
+  EXPECT_EQ(plan.budget, 0u);
+
+  // Skewed, but the deepest queue is under min_depth.
+  plan = core::rebalancer::decide({7, 0, 0, 0}, p);
+  EXPECT_FALSE(plan.trigger);
+  EXPECT_EQ(plan.max_depth, 7u);
+  EXPECT_DOUBLE_EQ(plan.imbalance, 4.0);
+
+  // Deep, but the imbalance (12 / 8 = 1.5) is under the threshold.
+  plan = core::rebalancer::decide({12, 6, 6, 8}, p);
+  EXPECT_FALSE(plan.trigger);
+  EXPECT_EQ(plan.deepest, 0u);
+  EXPECT_DOUBLE_EQ(plan.mean, 8.0);
+  EXPECT_DOUBLE_EQ(plan.imbalance, 1.5);
+
+  // Skewed: deepest at 2, mean 7; destinations at or below the mean,
+  // shallowest first (locality 3 at 8 is above it), budget
+  // min(max_migrations, floor(max - mean)) = min(4, 13) = 4.
+  plan = core::rebalancer::decide({5, 1, 20, 8, 1}, p);
+  EXPECT_TRUE(plan.trigger);
+  EXPECT_EQ(plan.deepest, 2u);
+  EXPECT_EQ(plan.max_depth, 20u);
+  EXPECT_DOUBLE_EQ(plan.mean, 7.0);
+  EXPECT_EQ(plan.dests, (std::vector<dest>{{1, 1}, {1, 4}, {5, 0}}));
+  EXPECT_EQ(plan.budget, 4u);
+
+  // The excess over the mean caps the budget below max_migrations:
+  // max 10, mean 7.5, floor(2.5) = 2.
+  core::rebalancer_params loose = p;
+  loose.threshold = 1.2;
+  plan = core::rebalancer::decide({10, 5}, loose);
+  EXPECT_TRUE(plan.trigger);
+  EXPECT_EQ(plan.dests, (std::vector<dest>{{5, 1}}));
+  EXPECT_EQ(plan.budget, 2u);
+
+  // Push-only gate (distributed): only the deepest rank acts.
+  EXPECT_TRUE(core::rebalancer::decide({5, 1, 20, 8, 1}, p, 2).trigger);
+  plan = core::rebalancer::decide({5, 1, 20, 8, 1}, p, 0);
+  EXPECT_FALSE(plan.trigger);
+  EXPECT_EQ(plan.deepest, 2u);
+  EXPECT_TRUE(plan.dests.empty());
+  EXPECT_EQ(core::rebalancer::decide({5, 1, 20, 8, 1}, p, any).deepest, 2u);
+}
 
 std::atomic<std::uint64_t> hops_done{0};
 
