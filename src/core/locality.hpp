@@ -67,7 +67,7 @@ class locality {
   std::size_t object_count() const;
 
   // Resident objects whose gid is homed at `home` — the survivors'
-  // re-registration sweep after rank loss (runtime::note_peer_failure)
+  // re-registration sweep after rank loss (runtime::sweep_casualty)
   // re-homes exactly these at the casualty's successor.
   std::vector<gas::gid> resident_objects_homed_at(gas::locality_id home) const;
 

@@ -249,12 +249,15 @@ runtime::runtime(runtime_params params)
           static_cast<std::uint64_t>(rank_));
       if (!fault_->empty()) dist_->arm_faults(fault_.get());
     }
-    // Locally-detected link deaths (tcp EOF, shm pid probe) feed the same
-    // funnel as the control plane's lease expiry.  Installed before
-    // connect_peers per the transport contract; until survive mode is
-    // armed below, the funnel's bootstrap leg makes any death fatal.
+    // A link that died (tcp EOF, shm pid probe, or the close a verdict
+    // asked for) has folded its books; it reports into the same membership
+    // as the control plane's detectors.  Installed before connect_peers per
+    // the transport contract; until survive mode is armed below, any death
+    // is fatal.
     dist_->set_peer_death_handler([this](std::size_t r) {
-      note_peer_failure(static_cast<gas::locality_id>(r));
+      const auto rank = static_cast<std::uint32_t>(r);
+      bootstrap_->members().note_folded(rank);
+      bootstrap_->report_death(rank, "data link lost");
     });
     bootstrap_ = std::make_unique<net::bootstrap>(bp);
     const std::vector<std::byte> blob =
@@ -345,9 +348,9 @@ runtime::runtime(runtime_params params)
     // Survive mode arms only now, after every rank proved it booted: a
     // death *during* boot stays fatal machine-wide (the partial machine
     // exits with a diagnostic inside the lease), while a death after this
-    // point is survivable — the handler funnels into note_peer_failure.
+    // point is survivable — the first verdict per casualty sweeps it.
     bootstrap_->set_peer_down_handler([this](std::uint32_t r) {
-      note_peer_failure(static_cast<gas::locality_id>(r));
+      sweep_casualty(static_cast<gas::locality_id>(r));
     });
     // Clock sync rides the control plane after the barrier so the RTT
     // samples are not polluted by the connect storm.  Collective, so it
@@ -638,10 +641,14 @@ gas::gid runtime::locality_gid(gas::locality_id id) const {
   return locality_gids_[id];
 }
 
+std::uint64_t runtime::lost_peer_mask() const noexcept {
+  return bootstrap_ != nullptr ? bootstrap_->members().dead_mask() : 0;
+}
+
 gas::locality_id runtime::effective_home(gas::gid id) const noexcept {
   const gas::locality_id home = id.home();
   if (!distributed_) return home;
-  const std::uint64_t mask = peer_dead_mask_.load(std::memory_order_acquire);
+  const std::uint64_t mask = lost_peer_mask();
   if (((mask >> home) & 1u) == 0) return home;
   // Deterministic succession: the next live rank scanning upward mod
   // nranks.  Pure arithmetic over the dead mask, so every survivor elects
@@ -675,8 +682,7 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
       // the home, whose directory forwards it onward — always correct, at
       // most one hop stale.
       if (const auto hint = agas_.cached(rank_, id)) {
-        if (((peer_dead_mask_.load(std::memory_order_acquire) >> *hint) &
-             1u) == 0) {
+        if (((lost_peer_mask() >> *hint) & 1u) == 0) {
           return *hint;
         }
       }
@@ -714,9 +720,7 @@ void runtime::route(gas::locality_id from, parcel::parcel p) {
     at(from).note_dropped();
     return;
   }
-  if (distributed_ && owner != rank_ &&
-      ((peer_dead_mask_.load(std::memory_order_acquire) >> owner) & 1u) !=
-          0) {
+  if (distributed_ && owner != rank_ && ((lost_peer_mask() >> owner) & 1u)) {
     // The owner rank is confirmed dead (non-migratable gid homed there, or
     // a resolution that still names the casualty): the object is gone with
     // its process.  Drop here, before the transport — the link is already
@@ -844,26 +848,15 @@ void runtime::wait_quiescent() {
     // rank loss the round runs over the live membership with the
     // casualty's whole column subtracted from both sides — the units we
     // sent it are unknowable, the units it sent us already counted — so
-    // the collective converges minus the casualty (the control plane's
-    // mask agreement keeps ranks with divergent views from quiescing).
-    // A rank whose failure sweep (transport fold, directory re-homing,
-    // gossip) has not caught up with the control plane's dead mask must
-    // not report stable: the verdict would let peers resume sending while
-    // this rank's directory still routes through the casualty.  The
-    // bootstrap can flag a death (heartbeat EOF) strictly before the
-    // peer-down handler finishes the sweep, so the mask comparison — not
-    // the handler having been called — is the gate.  Two masks, because
-    // the sweep's transport step is asynchronous: peer_swept_mask_ covers
-    // the directory/gossip repairs done inline in note_peer_failure, and
-    // the transport's folded mask covers the close fold that
-    // mark_peer_dead only *queues* on the progress thread.  Requiring
-    // both means the conservation books (parcels_lost, peer_failed) are
-    // final for every casualty before a verdict can land.
-    const std::uint64_t dead = bootstrap_->dead_mask();
-    const bool swept =
-        peer_swept_mask_.load(std::memory_order_acquire) == dead &&
-        (dist_->folded_peer_mask() & dead) == dead;
-    if (bootstrap_->quiesce_round(locally_stable && swept,
+    // the collective converges minus the casualty (the mask agreement
+    // keeps ranks with divergent views from quiescing).  A rank whose
+    // casualties are not all settled (its link's close folded the books,
+    // and the sweep re-homed the directory) must not report stable: the
+    // verdict would let peers resume sending while its directory still
+    // routes through the casualty or its books are still moving.
+    const net::membership& members = bootstrap_->members();
+    const std::uint64_t dead = members.dead_mask();
+    if (bootstrap_->quiesce_round(locally_stable && members.settled(),
                                   activity_snapshot(),
                                   dist_->live_units_sent(dead),
                                   dist_->live_units_received(dead))) {
@@ -920,28 +913,6 @@ parcel::action_id agas_update_action_id() {
 // Eager: action ids are positional; every rank must mint this at boot.
 [[maybe_unused]] const parcel::action_id k_agas_update_registration =
     agas_update_action_id();
-
-// Death gossip: the first rank to confirm a casualty tells the others, so
-// survivors that never exchanged a byte with the dead rank still fold it
-// into their books (the control plane's kTagPeerDown covers ranks root
-// reaches; this covers root learning from a non-root detector, and any
-// rank the heartbeat hasn't timed out yet).  Raw-registered like px.sink:
-// a death verdict is control plane and must not queue behind user fibers.
-parcel::action_id peer_down_action_id() {
-  static const parcel::action_id id =
-      parcel::action_registry::global().register_action(
-          "px.peer_down", +[](void* ctx, const parcel::parcel_view& pv) {
-            auto* loc = static_cast<locality*>(ctx);
-            const auto dead = util::from_bytes<std::uint32_t>(pv.arguments());
-            loc->rt().note_peer_failure(
-                static_cast<gas::locality_id>(dead));
-          });
-  return id;
-}
-
-// Eager: action ids are positional; every rank must mint this at boot.
-[[maybe_unused]] const parcel::action_id k_peer_down_registration =
-    peer_down_action_id();
 
 }  // namespace
 
@@ -1010,40 +981,6 @@ std::uint8_t runtime::apply_agas_update(gas::gid id,
 
 // ------------------------------------------------------------- resilience
 
-void runtime::note_peer_failure(gas::locality_id rank) {
-  if (!distributed_ || rank == rank_ ||
-      rank >= static_cast<gas::locality_id>(params_.localities)) {
-    return;
-  }
-  const std::uint64_t bit = 1ull << rank;
-  if (peer_dead_mask_.fetch_or(bit, std::memory_order_acq_rel) & bit) {
-    return;  // a verdict for this casualty already ran the sweep
-  }
-  PX_LOG_WARN("rank %u: peer rank %u confirmed dead — continuing with "
-              "reduced membership",
-              static_cast<unsigned>(rank_), static_cast<unsigned>(rank));
-  // (1) Ask the transport to fold the casualty into the conservation
-  // books.  This only *requests* the fold: mark_peer_dead queues the close
-  // on the transport's progress thread, so the books (parcels_lost freeze,
-  // peer_failed) may settle after this function returns — which is why
-  // wait_quiescent gates on the transport's folded mask in addition to
-  // peer_swept_mask_ below.  (2) Tell the control plane: its dead mask
-  // gates the quiesce verdict, and on rank 0 it broadcasts kTagPeerDown
-  // to the other survivors.  Note: when the control plane or the
-  // transport is what detected the death, the corresponding step is a
-  // no-op (its mask is already set), which is also what breaks the
-  // handler cycle.  (3) Repair the directory so routing keeps resolving.
-  // (4) Gossip px.peer_down — the parcels route with the repaired view.
-  dist_->mark_peer_dead(rank);
-  bootstrap_->note_rank_dead(static_cast<std::uint32_t>(rank));
-  rehome_gids_after_loss(rank);
-  broadcast_peer_down(rank);
-  // Directory sweep complete: wait_quiescent may report this casualty as
-  // handled once it also sees the transport's folded bit (the close
-  // queued in step (1) may still be in flight on the progress thread).
-  peer_swept_mask_.fetch_or(bit, std::memory_order_release);
-}
-
 void runtime::note_lost_gid(gas::gid id) {
   bool fresh = false;
   {
@@ -1059,7 +996,11 @@ void runtime::note_lost_gid(gas::gid id) {
   }
 }
 
-void runtime::rehome_gids_after_loss(gas::locality_id dead) {
+void runtime::sweep_casualty(gas::locality_id dead) {
+  // The close may already have run (the link's death was the detector);
+  // otherwise the progress thread folds the books a beat later, and the
+  // quiescence gate waits for that.
+  dist_->mark_peer_dead(dead);
   // Hints pointing at the casualty would bounce parcels off a torn-down
   // link; purge them so routing falls back to (effective-)home.
   agas_.purge_owner_hints(rank_, dead);
@@ -1089,18 +1030,7 @@ void runtime::rehome_gids_after_loss(gas::locality_id dead) {
         std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
     here().send(std::move(p));
   }
-}
-
-void runtime::broadcast_peer_down(gas::locality_id dead) {
-  const std::uint64_t mask = peer_dead_mask_.load(std::memory_order_acquire);
-  for (std::size_t r = 0; r < params_.localities; ++r) {
-    if (r == rank_ || ((mask >> r) & 1u) != 0) continue;
-    parcel::parcel p;
-    p.destination = locality_gid(static_cast<gas::locality_id>(r));
-    p.action = peer_down_action_id();
-    p.arguments = util::to_bytes(static_cast<std::uint32_t>(dead));
-    here().send(std::move(p));
-  }
+  bootstrap_->members().note_swept(static_cast<std::uint32_t>(dead));
 }
 
 std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {

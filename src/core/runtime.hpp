@@ -314,18 +314,11 @@ class runtime {
 
   // ----------------------------------------------------------- resilience
   //
-  // Surviving rank loss (docs/resilience.md).  Deaths funnel through
-  // note_peer_failure from every detector — the bootstrap lease expiry,
-  // the transport's own link-death accounting, and px.peer_down parcels
-  // from peers that saw it first.  The first observation per casualty
-  // folds the loss into the transport books, tells the control plane
-  // (rank 0 re-broadcasts), re-homes the directory, and gossips
-  // px.peer_down to the other survivors; later observations are no-ops.
-
-  // Idempotent external death verdict for `rank`.  Thread-safe; callable
-  // from the heartbeat thread, the transport progress thread, and parcel
-  // handlers alike.
-  void note_peer_failure(gas::locality_id rank);
+  // Surviving rank loss (docs/resilience.md).  Every detector reports into
+  // the bootstrap's membership core (net/membership.hpp), the machine's one
+  // dead mask.  Its first verdict per casualty runs this runtime's sweep
+  // once: fold the casualty into the transport books and re-home the
+  // directory.
 
   // The live authority for gids homed at `id.home()`: the home itself
   // while it lives, else the deterministic successor — the next live rank
@@ -335,9 +328,7 @@ class runtime {
 
   // Confirmed-dead peer ranks as a bitmask (bit r = rank r lost), and
   // whether any loss has been confirmed at all.
-  std::uint64_t lost_peer_mask() const noexcept {
-    return peer_dead_mask_.load(std::memory_order_acquire);
-  }
+  std::uint64_t lost_peer_mask() const noexcept;
   bool has_lost_peers() const noexcept { return lost_peer_mask() != 0; }
 
   // Objects whose gid can no longer resolve because they died with a lost
@@ -360,12 +351,11 @@ class runtime {
   // so every process runs identical parcel-pipeline behavior.
   std::vector<std::byte> encode_wire_params() const;
   void apply_wire_params(std::span<const std::byte> blob);
-  // Rank-loss repair steps (called once per casualty by note_peer_failure):
-  // purge hints at the casualty, drop directory entries for objects that
-  // died with it, re-register resident remotely-homed gids at the
-  // successor; then gossip px.peer_down to the remaining survivors.
-  void rehome_gids_after_loss(gas::locality_id dead);
-  void broadcast_peer_down(gas::locality_id dead);
+  // The sweep, run once per casualty by the membership's first verdict:
+  // close and fold its link, purge hints at it, drop directory entries for
+  // objects that died with it, re-register resident remotely-homed gids
+  // at the successor.
+  void sweep_casualty(gas::locality_id dead);
 
   runtime_params params_;
   gas::agas agas_;
@@ -420,19 +410,7 @@ class runtime {
   std::mutex dump_mu_;
   std::int64_t clock_offset_ns_ = 0;
 
-  // Resilience bookkeeping: which peer ranks this process has confirmed
-  // dead (the idempotence guard for note_peer_failure — one repair sweep
-  // and one gossip round per casualty, no matter how many detectors fire),
-  // and the unique gids reported lost with them.
-  std::atomic<std::uint64_t> peer_dead_mask_{0};
-  // Set once the inline repair sweep (directory re-homing, gossip) for a
-  // casualty has finished; the transport's close fold is asynchronous and
-  // tracked separately by dist_->folded_peer_mask().  wait_quiescent
-  // gates local stability on *both* masks matching the bootstrap's dead
-  // mask, so a quiescence verdict cannot land while a survivor's
-  // directory still routes through the dead rank or its conservation
-  // books are still settling.
-  std::atomic<std::uint64_t> peer_swept_mask_{0};
+  // The unique gids reported lost with dead ranks.
   mutable util::spinlock lost_gids_lock_;
   std::unordered_set<gas::gid> lost_gids_;
   std::atomic<std::uint64_t> gids_lost_{0};

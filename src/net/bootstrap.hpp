@@ -29,18 +29,20 @@
 // second, dedicated heartbeat connection per rank.  A background thread on
 // every rank exchanges kTagHb records with rank 0 at heartbeat_interval_us;
 // a rank whose heartbeats stop for lease_ms (or whose channel EOFs without
-// an orderly goodbye) is declared dead.  By default any death is fatal:
-// the observing process prints a diagnostic and exits nonzero within the
-// lease — a partial machine must never hang.  A runtime that can survive
-// rank loss arms survive mode with set_peer_down_handler(); from then on
-// non-root deaths are broadcast by rank 0 (kTagPeerDown), collectives skip
+// an orderly goodbye) is declared dead.  Every verdict, whoever detected
+// it, goes through report_death() into the one membership core
+// (net/membership.hpp).  By default any death is fatal: the observing
+// process prints a diagnostic and exits nonzero within the lease — a
+// partial machine must never hang.  A runtime that can survive rank loss
+// arms survive mode with set_peer_down_handler(); from then on a non-root
+// rank reports each verdict to rank 0 over its heartbeat connection, rank
+// 0 broadcasts it to the other survivors (kTagPeerDown), collectives skip
 // the casualty, and quiesce rounds carry each rank's dead mask so the
 // verdict is only reached once every survivor has folded the loss into its
 // books.  Rank 0's own death is always fatal to the others — it is the
 // control plane.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -50,6 +52,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "net/membership.hpp"
 
 namespace px::net {
 
@@ -103,31 +107,30 @@ class bootstrap {
 
   // ---------------------------------------------------------- resilience
 
-  // Arms survive mode: `h` is invoked (from the heartbeat thread) once per
-  // confirmed-dead peer rank.  Without a handler any rank loss is fatal —
+  // Arms survive mode: `h` is invoked once per confirmed-dead peer rank,
+  // from whichever thread reported it first, to sweep the casualty out of
+  // the caller's books.  Without a handler any rank loss is fatal —
   // diagnostic + _Exit(1) within the lease.  Rank 0's death is fatal
-  // regardless: it is the control plane.
+  // regardless: it is the control plane.  Call once.
   void set_peer_down_handler(std::function<void(std::uint32_t)> h);
 
-  // External death verdict (e.g. the data plane saw the peer's socket
-  // reset, or a px.peer_down parcel arrived).  Idempotent; on rank 0 it
-  // also broadcasts kTagPeerDown to the other survivors.
-  void note_rank_dead(std::uint32_t rank);
+  // The death funnel: `rank` is dead, as detected here (the data plane saw
+  // its link die, or a control-plane detector fired).  The first verdict
+  // per rank wins; it exits in fail-fast mode, else tells the other side
+  // of the heartbeat channel and runs the peer-down handler.  Later
+  // reports are no-ops.  Thread-safe.
+  void report_death(std::uint32_t rank, const char* why) {
+    report_death(rank, why, params_.rank);
+  }
 
   // Announce orderly shutdown: after this, peer heartbeat EOFs and lease
   // expiries are expected and ignored.  The runtime calls it after the
   // final shutdown barrier, before tearing the machine down.
   void expect_shutdown() noexcept;
 
-  bool is_alive(std::uint32_t rank) const noexcept {
-    return rank < params_.nranks &&
-           ((dead_mask_.load(std::memory_order_acquire) >> rank) & 1u) == 0;
-  }
-  // Bit r set = rank r confirmed dead.
-  std::uint64_t dead_mask() const noexcept {
-    return dead_mask_.load(std::memory_order_acquire);
-  }
-  std::uint32_t live_ranks() const noexcept;
+  // The machine's one dead mask, and the swept/folded state of each
+  // casualty, for routing and the quiescence gate.
+  membership& members() noexcept { return members_; }
 
   // Clock-offset collective for the flight recorder (trace/): util::now_ns
   // is a *per-process* steady epoch, so per-rank trace timestamps are
@@ -142,16 +145,21 @@ class bootstrap {
   std::uint32_t nranks() const noexcept { return params_.nranks; }
 
  private:
-  // Blocking, length-prefixed control records: [u32 len][u8 tag][payload].
-  void send_record(int fd, std::uint8_t tag,
-                   std::span<const std::byte> payload);
-  std::vector<std::byte> recv_record(int fd, std::uint8_t expect_tag);
-  // Non-asserting variants for links that may legitimately die.
+  // Length-prefixed control records: [u32 len][u8 tag][payload].  The
+  // try_ forms report a dead link; the plain forms assert it is alive.
   bool try_send_record(int fd, std::uint8_t tag,
                        std::span<const std::byte> payload);
   std::optional<std::pair<std::uint8_t, std::vector<std::byte>>>
   try_recv_record_any(int fd);
+  void send_record(int fd, std::uint8_t tag,
+                   std::span<const std::byte> payload);
+  std::vector<std::byte> recv_record(int fd, std::uint8_t expect_tag);
 
+  // Non-root: one request/reply with rank 0 over the control socket.
+  // Losing rank 0 is fatal, so it returns empty only while shutting down.
+  std::vector<std::byte> ask_root(std::uint8_t tag,
+                                  std::span<const std::byte> payload,
+                                  std::uint8_t reply_tag);
   // Root: wait for `tag` from rank `r`, polling in lease-bounded slices so
   // a rank that dies mid-collective is skipped instead of hanging the
   // machine.  nullopt = the rank is (now) dead.
@@ -161,31 +169,25 @@ class bootstrap {
   void send_to_live(std::uint32_t r, std::uint8_t tag,
                     std::span<const std::byte> payload);
 
-  // The one death funnel: first verdict per rank wins; fatal unless
-  // survive mode is armed (and never survivable for rank 0).
-  void death_verdict(std::uint32_t rank, const char* why);
-  void require_survivable(std::uint32_t rank);
-  [[noreturn]] void fail_fast(std::uint32_t rank, const char* why);
-  void start_heartbeat();
-  void hb_loop_root();
-  void hb_loop_rank();
+  // report_death with the news carried by `source`'s message.
+  void report_death(std::uint32_t rank, const char* why,
+                    std::uint32_t source);
+  // The heartbeat thread: one loop over the ranks members_ watches.
+  void hb_loop();
 
   bootstrap_params params_;
+  membership members_;
+  quiescence quiescence_;         // rank 0 only
   int listen_fd_ = -1;            // rank 0 only
-  std::vector<int> rank_fds_;     // rank 0: control socket per rank (0 = self)
-  int root_fd_ = -1;              // other ranks: socket to rank 0
-  std::vector<std::uint64_t> prev_gather_;  // rank 0: last round's vector
-
-  // Heartbeat channel (second connection per rank, opened in exchange()).
-  int hb_fd_ = -1;                // non-root: hb socket to rank 0
-  std::vector<int> hb_fds_;       // root: hb socket per rank (0 = self)
-  std::thread hb_thread_;
-  std::mutex hb_send_mutex_;      // hb sockets are written from two threads
-  std::atomic<std::uint64_t> dead_mask_{0};
-  std::atomic<std::uint64_t> goodbye_mask_{0};  // root: orderly goodbyes
-  std::atomic<bool> closing_{false};
-  std::mutex handler_mutex_;
-  std::function<void(std::uint32_t)> on_peer_down_;  // set = survive mode
+  // Control and heartbeat socket per peer: rank 0 holds one to every rank
+  // (its own slot stays -1), every other rank only [0], to rank 0.
+  std::vector<int> ctl_fds_;
+  std::vector<int> hb_fds_;
+  std::mutex hb_send_mutex_;      // hb sockets are written from any thread
+  // Set once, before survive mode is armed; read only after a verdict saw
+  // it armed.
+  std::function<void(std::uint32_t)> on_peer_down_;
+  std::thread hb_thread_;         // last: it uses everything above
 };
 
 }  // namespace px::net

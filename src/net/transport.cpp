@@ -328,8 +328,7 @@ std::uint64_t distributed_transport::live_units_received(
 }
 
 void distributed_transport::mark_peer_dead(std::size_t rank) noexcept {
-  if (rank >= units_to_.size() || rank == self_rank_) return;
-  if (peer_confirmed_dead(rank)) return;  // verdict already landed
+  if (rank >= links_.size() || rank == self_rank_ || !link_open(rank)) return;
   pending_dead_.fetch_or(1ull << rank, std::memory_order_acq_rel);
   wake();
 }
@@ -339,25 +338,18 @@ void distributed_transport::note_peer_closed(std::size_t rank, bool orderly) {
     orderly_disconnects_.fetch_add(1);
     return;
   }
-  // One death verdict per peer, no matter how many sources observe it
-  // (EOF + pid probe + lease can all fire for the same casualty).
-  const std::uint64_t bit = 1ull << rank;
-  if (dead_mask_.fetch_or(bit) & bit) return;
-  unexpected_disconnects_.fetch_add(1);
-  peers_failed_.fetch_add(1);
-  // The link is closed and its queue folded, so the books are final:
+  // close_peer runs once per link, so this runs once per casualty.  The
+  // link is closed and its queue folded, so the books are final:
   // everything sent toward the casualty minus what we already dropped
   // actually reached the wire, and its fate died with the peer.
   const std::uint64_t to = units_sent_to(rank);
   const std::uint64_t dropped = units_dropped_to(rank);
-  parcels_lost_.fetch_add(to > dropped ? to - dropped : 0);
-  PX_LOG_WARN("net: peer rank %zu confirmed dead (%llu units lost)", rank,
-              static_cast<unsigned long long>(to > dropped ? to - dropped
-                                                           : 0));
-  // Publish the fold only now that the books are final: readers gating on
-  // folded_peer_mask() may assume parcels_lost/peers_failed include this
-  // casualty the moment they observe the bit.
-  folded_mask_.fetch_or(bit, std::memory_order_acq_rel);
+  const std::uint64_t lost = to > dropped ? to - dropped : 0;
+  parcels_lost_.fetch_add(lost);
+  peers_failed_.fetch_add(1);
+  unexpected_disconnects_.fetch_add(1);
+  PX_LOG_WARN("net: peer rank %zu lost (%llu units lost)", rank,
+              static_cast<unsigned long long>(lost));
   if (on_peer_death_) on_peer_death_(rank);
 }
 

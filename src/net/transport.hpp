@@ -196,11 +196,11 @@ class whole_frame_ingest {
 //     always queue;
 //   * in_flight() and drain(): queued units plus, per open link, the
 //     channel's unconsumed_units();
-//   * the peer ledger: per-peer unit books, the orderly-vs-unexpected
-//     disconnect accounting, and the mark_peer_dead seam every death
-//     source funnels through (tcp EOF, shm pid probe or closed flag, the
-//     bootstrap lease), so both backends report rank loss identically
-//     (docs/resilience.md);
+//   * the peer ledger: per-peer unit books and the orderly-vs-unexpected
+//     disconnect accounting, so both backends report rank loss the same
+//     way: one death-handler call per link that died, whatever saw it
+//     (tcp EOF, shm pid probe or closed flag, or mark_peer_dead from the
+//     control plane's verdict; docs/resilience.md);
 //   * close_peer(), the one close routine, and the progress thread: fold
 //     pending death verdicts, wait() for ready links, pump_in() the
 //     readable, write the queues of the writable, wake drain() waiters,
@@ -267,15 +267,14 @@ class distributed_transport : public transport {
 
   // ---- resilience seam -------------------------------------------------
 
-  // External death verdict (bootstrap lease expiry, px.peer_down from a
-  // peer): tear down the link to `rank` and fold its outstanding units
-  // into the conservation books.  Idempotent; thread-safe; the actual
-  // close runs on the progress thread.
+  // The control plane's death verdict: tear down the link to `rank` and
+  // fold its outstanding units into the conservation books.  Thread-safe;
+  // the close runs on the progress thread, once per link.
   void mark_peer_dead(std::size_t rank) noexcept;
 
-  // Called once per confirmed-dead peer, after the link is closed and the
-  // books folded.  Runs on the progress thread; must not block.  Must be
-  // installed before connect_peers().
+  // Called once per link that closed unexpectedly (the peer is dead),
+  // after the books are folded.  Runs on the progress thread; must not
+  // block.  Must be installed before connect_peers().
   void set_peer_death_handler(std::function<void(std::size_t)> h) {
     on_peer_death_ = std::move(h);
   }
@@ -285,18 +284,9 @@ class distributed_transport : public transport {
   // connect_peers().
   void arm_faults(util::fault_injector* f) noexcept { fault_ = f; }
 
-  bool peer_confirmed_dead(std::size_t rank) const noexcept {
-    return (dead_mask_.load() >> rank) & 1u;
-  }
-  std::uint64_t dead_peer_mask() const noexcept { return dead_mask_.load(); }
-  // Peers whose close fold has fully retired: link closed, lost-unit
-  // figure frozen, peer_failed counted.  Distinct from dead_peer_mask(),
-  // whose bit is the fold's *entry* guard and is visible before the books
-  // settle; readers that need final books (the quiesce swept gate,
-  // conservation checks) must gate on this mask instead.
-  std::uint64_t folded_peer_mask() const noexcept {
-    return folded_mask_.load(std::memory_order_acquire);
-  }
+  // Books of the links that closed unexpectedly, counted in this order:
+  // parcels_lost, peers_failed, unexpected_disconnects.  A reader that
+  // sees a casualty in a later one sees the earlier ones final.
   std::uint64_t peers_failed_total() const noexcept {
     return peers_failed_.load();
   }
@@ -395,7 +385,7 @@ class distributed_transport : public transport {
   void deliver(std::size_t rank, std::vector<std::byte>&& frame,
                std::uint32_t units);
   // Progress thread: closes link `rank`, once.  `why == nullptr` is an
-  // orderly close; anything else is logged and marks the peer dead.
+  // orderly close; anything else is logged and reports the peer dead.
   // Clears `open` under the send lock (no sender touches the channel
   // again), releases the channel, folds the queued units — on an orderly
   // close also the unconsumed ones — into the dropped books, then, with
@@ -427,9 +417,9 @@ class distributed_transport : public transport {
   void drop(std::size_t rank, std::uint64_t units) noexcept;
   // Wakes drain() waiters once in_flight() reads 0.
   void notify_if_drained();
-  // The last step of close_peer: an unexpected close marks the peer dead,
-  // freezes the lost-units figure and fires the death handler; an orderly
-  // close only counts.
+  // The last step of close_peer: an unexpected close freezes the
+  // lost-units figure and fires the death handler; an orderly close only
+  // counts.
   void note_peer_closed(std::size_t rank, bool orderly);
 
   const std::uint32_t self_rank_;
@@ -463,8 +453,6 @@ class distributed_transport : public transport {
   std::mutex drain_mutex_;
   std::condition_variable drained_cv_;
 
-  std::atomic<std::uint64_t> dead_mask_{0};
-  std::atomic<std::uint64_t> folded_mask_{0};
   std::atomic<std::uint64_t> peers_failed_{0};
   std::atomic<std::uint64_t> parcels_lost_{0};
   std::atomic<std::uint64_t> orderly_disconnects_{0};

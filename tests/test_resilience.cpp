@@ -9,7 +9,9 @@
 //   * orderly vs unexpected disconnect accounting, identical across the
 //     tcp and shm backends,
 //   * bootstrap partial failures (death before hello / during barrier /
-//     between quiesce rounds) end in a clean nonzero exit, never a hang.
+//     between quiesce rounds) end in a clean nonzero exit, never a hang,
+//   * the membership and quiescence cores, driven by hand-written event
+//     sequences with no socket or thread.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,7 @@
 #include "core/runtime.hpp"
 #include "distributed_helpers.hpp"
 #include "net/bootstrap.hpp"
+#include "net/membership.hpp"
 #include "parcel/migration.hpp"
 #include "parcel/parcel.hpp"
 #include "transport_pair.hpp"
@@ -727,7 +730,6 @@ void disconnect_accounting_body(bool orderly) {
     EXPECT_EQ(pair.b->unexpected_disconnects(), 0u);
     EXPECT_EQ(pair.b->peers_failed_total(), 0u);
     EXPECT_EQ(pair.b->parcels_lost_total(), 0u);
-    EXPECT_EQ(pair.b->dead_peer_mask(), 0u);
     EXPECT_EQ(deaths.load(), 0u);
   } else {
     ASSERT_TRUE(eventually([&] {
@@ -738,7 +740,6 @@ void disconnect_accounting_body(bool orderly) {
     // The 2 units b sent toward the dead rank are charged lost — the
     // conservative fold: nobody can prove the casualty acted on them.
     EXPECT_EQ(pair.b->parcels_lost_total(), 2u);
-    EXPECT_EQ(pair.b->dead_peer_mask(), 1u);
     EXPECT_TRUE(eventually([&] { return deaths.load() == 1; }));
     EXPECT_EQ(dead_rank.load(), 0u);
   }
@@ -820,6 +821,215 @@ TEST(Resilience, WireBytesIdenticalWithoutFaults) {
         << "rank " << r << ": wire bytes differ between identical runs — "
            "the resilience layer leaked onto the data plane";
   }
+}
+
+// ------------------------------------- membership core, no I/O at all
+
+using verdict = net::membership::verdict;
+
+constexpr std::uint64_t bit(std::uint32_t r) { return 1ull << r; }
+
+// Cores below beat every 10 ns with a 100 ns lease: the core only
+// compares numbers.  Survive mode on, lease clocks started at t = 0.
+void arm(net::membership& m) {
+  m.arm_survive();
+  m.start(0);
+}
+
+TEST(MembershipCore, EveryDetectorOfOneCasualtyYieldsOneVerdict) {
+  net::membership m(1, 4, 10, 100);
+  arm(m);
+  int verdicts = 0;
+  const auto count = [&](net::membership::decision d) {
+    if (d.kind == verdict::survive) verdicts += 1;
+    EXPECT_NE(d.kind, verdict::fatal);
+    EXPECT_NE(d.kind, verdict::echo);
+  };
+  count(m.report(2, 1));  // heartbeat or data-link EOF, seen here
+  count(m.report(2, 1));  // the lease, a beat later
+  count(m.report(2, 0));  // rank 0's broadcast
+  m.note_folded(2);       // the transport's close...
+  count(m.report(2, 1));  // ...reports too
+  EXPECT_EQ(verdicts, 1);
+  EXPECT_EQ(m.dead_mask(), bit(2));
+  EXPECT_EQ(m.live_ranks(), 3u);
+  EXPECT_FALSE(m.settled()) << "folded but not swept";
+  m.note_swept(2);
+  EXPECT_TRUE(m.settled());
+}
+
+TEST(MembershipCore, LeaseExpiryWithoutHeartbeatYieldsOneVerdict) {
+  net::membership m(0, 3, 10, 100);
+  arm(m);
+  int verdicts = 0;
+  int heartbeats = 0;
+  for (std::int64_t now = 0; now <= 1000; now += 5) {
+    m.heard(1, now);  // rank 1 keeps beating; rank 2 never does
+    if (m.heartbeat_due(now)) heartbeats += 1;
+    const std::uint64_t expired = m.expired(now);
+    EXPECT_EQ(expired & ~bit(2), 0u) << "at " << now;
+    if (expired != 0 && m.report(2, 0).kind == verdict::survive) {
+      verdicts += 1;
+      EXPECT_GT(now, 100);
+    }
+  }
+  EXPECT_EQ(verdicts, 1);
+  EXPECT_EQ(m.dead_mask(), bit(2));
+  EXPECT_EQ(m.watched(), bit(1));
+  EXPECT_EQ(heartbeats, 101);  // once per 10 ns, from t = 0
+}
+
+TEST(MembershipCore, RankZeroDeathIsFatal) {
+  net::membership m(2, 4, 10, 100);
+  arm(m);
+  EXPECT_EQ(m.report(0, 2).kind, verdict::fatal);
+  EXPECT_EQ(m.report(0, 2).kind, verdict::echo);
+}
+
+TEST(MembershipCore, AnyDeathBeforeSurviveModeIsFatal) {
+  net::membership m(0, 4, 10, 100);
+  EXPECT_EQ(m.report(2, 0).kind, verdict::fatal);
+  EXPECT_EQ(m.report(2, 0).kind, verdict::echo);
+  m.arm_survive();
+  EXPECT_EQ(m.report(3, 0).kind, verdict::survive);
+}
+
+TEST(MembershipCore, VerdictsAfterExpectShutdownAreIgnored) {
+  net::membership m(0, 4, 10, 100);
+  arm(m);
+  EXPECT_TRUE(m.expect_shutdown());
+  EXPECT_FALSE(m.expect_shutdown());
+  EXPECT_EQ(m.report(2, 0).kind, verdict::ignore);
+  EXPECT_EQ(m.report(0, 1).kind, verdict::ignore);
+  EXPECT_EQ(m.dead_mask(), 0u);
+  EXPECT_EQ(m.watched(), 0u);
+
+  // A rank learns of the shutdown from rank 0's goodbye.
+  net::membership r1(1, 4, 10, 100);
+  arm(r1);
+  EXPECT_EQ(r1.watched(), bit(0));
+  r1.goodbye(0);
+  EXPECT_TRUE(r1.closing());
+  EXPECT_EQ(r1.report(0, 1).kind, verdict::ignore);
+}
+
+TEST(MembershipCore, GoodbyeStopsRootWatchingOneRank) {
+  net::membership m(0, 4, 10, 100);
+  arm(m);
+  EXPECT_EQ(m.watched(), bit(1) | bit(2) | bit(3));
+  m.goodbye(2);
+  EXPECT_FALSE(m.closing());
+  EXPECT_EQ(m.watched(), bit(1) | bit(3));
+  EXPECT_EQ(m.expired(1000), bit(1) | bit(3));
+}
+
+TEST(MembershipCore, NonRootDetectionReachesEverySurvivorOnce) {
+  net::membership rank0(0, 4, 10, 100);
+  arm(rank0);
+  net::membership rank1(1, 4, 10, 100);
+  arm(rank1);
+  net::membership rank2(2, 4, 10, 100);
+  arm(rank2);
+  // Rank 2 sees rank 3 die: exactly one report, to rank 0.
+  const auto d2 = rank2.report(3, 2);
+  ASSERT_EQ(d2.kind, verdict::survive);
+  EXPECT_EQ(d2.tell, bit(0));
+  // Rank 0 takes the report and broadcasts, skipping the casualty, the
+  // reporter and itself.
+  const auto d0 = rank0.report(3, 2);
+  ASSERT_EQ(d0.kind, verdict::survive);
+  EXPECT_EQ(d0.tell, bit(1));
+  // The broadcast's receivers tell nobody else; the reporter ignores it.
+  const auto d1 = rank1.report(3, 0);
+  ASSERT_EQ(d1.kind, verdict::survive);
+  EXPECT_EQ(d1.tell, 0u);
+  EXPECT_EQ(rank2.report(3, 0).kind, verdict::ignore);
+  // A detection at rank 0 itself goes to every other survivor.
+  EXPECT_EQ(rank0.report(1, 0).tell, bit(2));
+}
+
+// ------------------------------------ quiescence core, no I/O at all
+
+struct rank_row {
+  std::uint64_t stable = 1, activity = 7, sent = 0, delivered = 0, mask = 0;
+};
+
+std::vector<std::uint64_t> gather(const std::vector<rank_row>& ranks) {
+  std::vector<std::uint64_t> rows;
+  for (const auto& r : ranks) {
+    rows.insert(rows.end(),
+                {r.stable, r.activity, r.sent, r.delivered, r.mask});
+  }
+  return rows;
+}
+
+TEST(QuiescenceCore, FirstGatherNeverDeclares) {
+  net::quiescence q(3);
+  const auto rows = gather({{}, {.sent = 4}, {.delivered = 4}});
+  EXPECT_FALSE(q.decide(rows, 0).quiescent);
+  EXPECT_TRUE(q.decide(rows, 0).quiescent);
+  // A verdict starts over: the next gather has no predecessor again.
+  EXPECT_FALSE(q.decide(rows, 0).quiescent);
+}
+
+TEST(QuiescenceCore, RoundThatShrankTheMembershipNeverDeclares) {
+  net::quiescence q(3);
+  // Rank 2 died while root gathered: its row stayed zero, and the mask
+  // root started the round with no longer holds.
+  const auto rows = gather({{}, {}, {0, 0, 0, 0, 0}});
+  EXPECT_FALSE(q.decide(rows, 0).quiescent);
+  const auto v = q.decide(rows, bit(2));
+  EXPECT_FALSE(v.quiescent);
+  EXPECT_TRUE(v.shrank);
+  // Once every row carries the new mask, two matching rounds declare.
+  const auto settled =
+      gather({{.mask = bit(2)}, {.mask = bit(2)}, {0, 0, 0, 0, 0}});
+  EXPECT_FALSE(q.decide(settled, bit(2)).quiescent);
+  EXPECT_TRUE(q.decide(settled, bit(2)).quiescent);
+}
+
+TEST(QuiescenceCore, DisagreeingMasksNeverDeclare) {
+  net::quiescence q(4);
+  const auto rows = gather(
+      {{.mask = bit(3)}, {.mask = bit(3)}, {.mask = 0}, {0, 0, 0, 0, 0}});
+  for (int round = 0; round < 3; ++round) {
+    const auto v = q.decide(rows, bit(3));
+    EXPECT_FALSE(v.quiescent);
+    EXPECT_FALSE(v.masks_agree);
+  }
+}
+
+TEST(QuiescenceCore, SentNotDeliveredNeverDeclares) {
+  net::quiescence q(2);
+  const auto rows = gather({{.sent = 5}, {.delivered = 4}});
+  for (int round = 0; round < 3; ++round) {
+    const auto v = q.decide(rows, 0);
+    EXPECT_FALSE(v.quiescent);
+    EXPECT_EQ(v.sent, 5u);
+    EXPECT_EQ(v.delivered, 4u);
+  }
+  // An unstable rank vetoes too.
+  const auto busy = gather({{}, {.stable = 0}});
+  EXPECT_FALSE(q.decide(busy, 0).quiescent);
+  EXPECT_FALSE(q.decide(busy, 0).quiescent);
+}
+
+TEST(QuiescenceCore, StuckRoundCountIsPerInstance) {
+  net::quiescence a(2);
+  net::quiescence b(2);
+  const auto spinning = gather({{.sent = 1}, {}});
+  for (std::uint64_t i = 1; i < net::quiescence::kStuckRounds; ++i) {
+    ASSERT_FALSE(a.decide(spinning, 0).stuck) << "round " << i;
+  }
+  EXPECT_FALSE(b.decide(spinning, 0).stuck);  // b's first round
+  const auto v = a.decide(spinning, 0);
+  EXPECT_TRUE(v.stuck);
+  EXPECT_EQ(v.rounds, net::quiescence::kStuckRounds);
+  // A verdict resets the count.
+  const auto idle = gather({{}, {}});
+  (void)a.decide(idle, 0);
+  EXPECT_TRUE(a.decide(idle, 0).quiescent);
+  EXPECT_EQ(a.decide(spinning, 0).rounds, 1u);
 }
 
 }  // namespace

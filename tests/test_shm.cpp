@@ -573,7 +573,7 @@ void closed_peer_drops_without_touching_the_channel() {
   pair.b->expect_peer_disconnects();
   pair.a->mark_peer_dead(1);
   ASSERT_TRUE(
-      eventually([&] { return (pair.a->folded_peer_mask() & 2u) != 0; }));
+      eventually([&] { return pair.a->unexpected_disconnects() == 1; }));
 
   // Put a live socket on every descriptor number the close freed, the old
   // link's among them: a send that still used the stale fd would land
