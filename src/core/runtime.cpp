@@ -7,17 +7,14 @@
 #include "core/action.hpp"
 #include "core/echo.hpp"
 #include "core/percolation.hpp"
-#include "lco/lco.hpp"
 #include "net/bootstrap.hpp"
 #include "net/shm_transport.hpp"
 #include "net/tcp_transport.hpp"
-#include "patterns/counters.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
-#include "util/shard_writer.hpp"
 
 namespace px::core {
 
@@ -44,9 +41,7 @@ namespace {
 // whose size depends on the locality count constructs (AGAS shards are per
 // locality, and under the tcp backend the locality count *is* the rank
 // count from the launcher's environment).
-runtime_params resolve_net(runtime_params p) {
-  util::config cfg;
-  cfg.load_environment();
+runtime_params resolve_net(runtime_params p, const util::config& cfg) {
   if (p.net.backend.empty()) {
     p.net.backend = cfg.get_string("net.backend", "sim");
   }
@@ -71,10 +66,34 @@ runtime_params resolve_net(runtime_params p) {
   return p;
 }
 
+// A nonzero explicit value wins, else the PX_* knob `key`, else
+// `fallback`.
+template <typename T>
+T knob(T value, const util::config& cfg, const char* key,
+       std::int64_t fallback) {
+  return value != 0 ? value : static_cast<T>(cfg.get_int(key, fallback));
+}
+
+// A tri-state toggle as 0/1: -1 resolves from the PX_* knob `key`.
+int toggle(int value, const util::config& cfg, const char* key,
+           bool fallback) {
+  return (value < 0 ? cfg.get_bool(key, fallback) : value != 0) ? 1 : 0;
+}
+
+util::config environment() {
+  util::config cfg;
+  cfg.load_environment();
+  return cfg;
+}
+
 }  // namespace
 
+// Every knob below resolves from one read of the PX_* environment.
 runtime::runtime(runtime_params params)
-    : params_(resolve_net(std::move(params))),
+    : runtime(std::move(params), environment()) {}
+
+runtime::runtime(runtime_params params, const util::config& cfg)
+    : params_(resolve_net(std::move(params), cfg)),
       agas_(params_.localities),
       introspect_(agas_, names_) {
   PX_ASSERT(params_.localities >= 1);
@@ -92,64 +111,30 @@ runtime::runtime(runtime_params params)
   // PX_REBALANCE, PX_REBALANCE_*).
   parcel_port_params pp;
   rebalancer_params rp;
-  {
-    util::config cfg;
-    cfg.load_environment();
-    if (params_.parcel_flush_bytes == 0) {
-      params_.parcel_flush_bytes = static_cast<std::size_t>(cfg.get_int(
-          "parcel.flush_bytes", static_cast<std::int64_t>(pp.flush_bytes)));
-    }
-    if (params_.parcel_flush_count == 0) {
-      params_.parcel_flush_count = static_cast<std::uint32_t>(cfg.get_int(
-          "parcel.flush_count", static_cast<std::int64_t>(pp.flush_count)));
-    }
-    eager_flush_ = params_.parcel_eager_flush < 0
-                       ? cfg.get_bool("parcel.eager_flush", true)
-                       : params_.parcel_eager_flush != 0;
-    rp.enabled = params_.rebalance < 0 ? cfg.get_bool("rebalance", false)
-                                       : params_.rebalance != 0;
-    rp.threshold = params_.rebalance_threshold > 0.0
-                       ? params_.rebalance_threshold
-                       : cfg.get_double("rebalance.threshold", rp.threshold);
-    rp.min_depth =
-        params_.rebalance_min_depth > 0
-            ? params_.rebalance_min_depth
-            : static_cast<std::uint32_t>(cfg.get_int(
-                  "rebalance.min_depth",
-                  static_cast<std::int64_t>(rp.min_depth)));
-    rp.max_migrations =
-        params_.rebalance_max_migrations > 0
-            ? params_.rebalance_max_migrations
-            : static_cast<std::uint32_t>(cfg.get_int(
-                  "rebalance.max_migrations",
-                  static_cast<std::int64_t>(rp.max_migrations)));
-    rp.interval_us =
-        params_.rebalance_interval_us > 0
-            ? params_.rebalance_interval_us
-            : static_cast<std::uint64_t>(cfg.get_int(
-                  "rebalance.interval_us",
-                  static_cast<std::int64_t>(rp.interval_us)));
-    if (params_.trace < 0) {
-      params_.trace = cfg.get_bool("trace", false) ? 1 : 0;
-    } else {
-      params_.trace = params_.trace != 0 ? 1 : 0;
-    }
-    if (params_.trace_ring_bytes == 0) {
-      params_.trace_ring_bytes = static_cast<std::size_t>(
-          cfg.get_int("trace.ring_bytes", 1 << 20));
-    }
-    if (params_.stats < 0) {
-      params_.stats = cfg.get_bool("stats", false) ? 1 : 0;
-    } else {
-      params_.stats = params_.stats != 0 ? 1 : 0;
-    }
-    if (params_.stats_interval_us == 0) {
-      params_.stats_interval_us =
-          static_cast<std::uint64_t>(cfg.get_int("stats.interval_us", 10'000));
-    }
-    if (params_.telemetry_dir.empty()) {
-      params_.telemetry_dir = cfg.get_string("telemetry.dir", ".");
-    }
+  params_.parcel_flush_bytes = knob(params_.parcel_flush_bytes, cfg,
+                                    "parcel.flush_bytes", pp.flush_bytes);
+  params_.parcel_flush_count = knob(params_.parcel_flush_count, cfg,
+                                    "parcel.flush_count", pp.flush_count);
+  eager_flush_ = toggle(params_.parcel_eager_flush, cfg, "parcel.eager_flush",
+                        true) != 0;
+  rp.enabled = toggle(params_.rebalance, cfg, "rebalance", false) != 0;
+  rp.threshold = params_.rebalance_threshold > 0.0
+                     ? params_.rebalance_threshold
+                     : cfg.get_double("rebalance.threshold", rp.threshold);
+  rp.min_depth = knob(params_.rebalance_min_depth, cfg, "rebalance.min_depth",
+                      rp.min_depth);
+  rp.max_migrations = knob(params_.rebalance_max_migrations, cfg,
+                           "rebalance.max_migrations", rp.max_migrations);
+  rp.interval_us = knob(params_.rebalance_interval_us, cfg,
+                        "rebalance.interval_us", rp.interval_us);
+  params_.trace = toggle(params_.trace, cfg, "trace", false);
+  params_.trace_ring_bytes =
+      knob(params_.trace_ring_bytes, cfg, "trace.ring_bytes", 1 << 20);
+  params_.stats = toggle(params_.stats, cfg, "stats", false);
+  params_.stats_interval_us =
+      knob(params_.stats_interval_us, cfg, "stats.interval_us", 10'000);
+  if (params_.telemetry_dir.empty()) {
+    params_.telemetry_dir = cfg.get_string("telemetry.dir", ".");
   }
   // Normalize the resolved toggles into params_ so rank 0's wire blob
   // carries them (apply_wire_params overwrites them on other ranks — the
@@ -213,12 +198,10 @@ runtime::runtime(runtime_params params)
       tp.listen = params_.net.listen;
       dist_ = std::make_unique<net::tcp_transport>(tp);
     } else {
-      util::config shm_cfg;
-      shm_cfg.load_environment();
       net::shm_params sp;
       sp.rank = rank_;
       sp.nranks = static_cast<std::uint32_t>(params_.localities);
-      sp.ring_bytes = static_cast<std::size_t>(shm_cfg.get_int(
+      sp.ring_bytes = static_cast<std::size_t>(cfg.get_int(
           "shm.ring_bytes", static_cast<std::int64_t>(sp.ring_bytes)));
       sp.spin_us = host_has_cores ? 50 : 2;
       dist_ = std::make_unique<net::shm_transport>(sp);
@@ -227,19 +210,17 @@ runtime::runtime(runtime_params params)
     // environment: the heartbeat/lease must be live *before* the wire-params
     // exchange (a rank that dies mid-boot must not hang the others), so
     // they cannot ride rank 0's blob; launchers set them uniformly.
-    util::config rcfg;
-    rcfg.load_environment();
     net::bootstrap_params bp;
     bp.rank = rank_;
     bp.nranks = static_cast<std::uint32_t>(params_.localities);
     bp.root = params_.net.root;
-    bp.heartbeat_interval_us = static_cast<std::uint64_t>(rcfg.get_int(
+    bp.heartbeat_interval_us = static_cast<std::uint64_t>(cfg.get_int(
         "heartbeat.interval_us",
         static_cast<std::int64_t>(bp.heartbeat_interval_us)));
     bp.lease_ms = static_cast<std::uint64_t>(
-        rcfg.get_int("lease.ms", static_cast<std::int64_t>(bp.lease_ms)));
-    if (rcfg.contains("fault")) {
-      const std::string spec = rcfg.get_string("fault", "");
+        cfg.get_int("lease.ms", static_cast<std::int64_t>(bp.lease_ms)));
+    if (cfg.contains("fault")) {
+      const std::string spec = cfg.get_string("fault", "");
       const auto plan = util::fault_plan::parse(spec);
       PX_ASSERT_MSG(plan.has_value(),
                     "PX_FAULT does not parse — a fault plan that cannot arm "
@@ -375,183 +356,6 @@ runtime::runtime(runtime_params params)
   stats_->arm();
 }
 
-// Every load-bearing runtime quantity becomes a first-class, gid-named,
-// path-addressable counter (paper: hardware resources are typed first-class
-// entities).  Schema: runtime/loc<i>/<subsystem>/<metric> for per-locality
-// counters, runtime/<service>/<metric> for machine-global ones (homed at
-// locality 0, which hosts the global services).
-//
-// Distributed mode replays this *identical* registration sequence in every
-// process: a row whose home this process does not host (another rank's
-// locality slot, the globals on non-zero ranks) registers sampler-less via
-// add_remote, so counter gids allocate in the same order machine-wide and
-// any rank can query any other's counters by path or gid
-// (introspect::query_counter pays a parcel round trip to the home rank,
-// whose registry holds the live callback).  Samplers capture pointers that
-// are null on remote rows and dereference them only when called.
-void runtime::register_counters() {
-  auto& reg = introspect_;
-  net::transport* t = transport_;
-  const auto own_ep = static_cast<net::endpoint_id>(rank_);
-
-  for (std::size_t i = 0; i < localities_.size(); ++i) {
-    const auto lid = static_cast<gas::locality_id>(i);
-    locality* loc = localities_[i].get();
-    parcel_port* port = ports_[i].get();
-    const auto ep = static_cast<net::endpoint_id>(i);
-    const std::string p = "runtime/loc" + std::to_string(i);
-    const bool hosted = loc != nullptr;
-    auto row = [&](const std::string& path, introspect::sample_fn fn) {
-      if (hosted) {
-        reg.add(lid, p + path, std::move(fn));
-      } else {
-        reg.add_remote(lid, p + path);
-      }
-    };
-    auto hist_row = [&](const std::string& path, introspect::hist_fn fn) {
-      if (hosted) {
-        reg.add_hist(lid, p + path, std::move(fn));
-      } else {
-        reg.add_remote(lid, p + path);
-      }
-    };
-
-    row("/sched/ready_depth",
-        [loc] { return loc->sched().ready_estimate(); });
-    row("/sched/live_threads",
-        [loc] { return loc->sched().live_threads(); });
-    row("/sched/spawned", [loc] { return loc->sched().spawn_count(); });
-    row("/sched/steals", [loc] { return loc->sched().stats().steals; });
-    row("/sched/suspends", [loc] { return loc->sched().stats().suspends; });
-    row("/sched/sleeps", [loc] { return loc->sched().stats().sleeps; });
-
-    row("/parcels/sent", [loc] { return loc->stats().parcels_sent; });
-    row("/parcels/delivered",
-        [loc] { return loc->stats().parcels_delivered; });
-    row("/parcels/forwarded",
-        [loc] { return loc->stats().parcels_forwarded; });
-    row("/parcels/dropped", [loc] { return loc->stats().parcels_dropped; });
-
-    row("/port/pending", [port] { return port->pending(); });
-    row("/port/enqueued", [port] { return port->enqueued_total(); });
-    row("/port/frames_sent", [port] { return port->stats().frames_sent; });
-    row("/port/eager_flushes",
-        [port] { return port->stats().eager_flushes; });
-
-    row("/fabric/frames_sent",
-        [t, ep] { return t->stats(ep).messages_sent; });
-    row("/fabric/parcels_sent",
-        [t, ep] { return t->stats(ep).parcels_sent; });
-    row("/fabric/bytes_sent", [t, ep] { return t->stats(ep).bytes_sent; });
-
-    // Per-locality wire totals (PR 4): what this endpoint's transport put
-    // on and took off the wire — the rebalancer's (and any dashboard's)
-    // view of real-network traffic, not just the modeled fabric's.
-    row("/net/bytes_tx", [t, ep] { return t->link(ep).bytes_tx; });
-    row("/net/bytes_rx", [t, ep] { return t->link(ep).bytes_rx; });
-    row("/net/msgs_tx", [t, ep] { return t->link(ep).msgs_tx; });
-    row("/net/msgs_rx", [t, ep] { return t->link(ep).msgs_rx; });
-    // Flight-recorder totals.  The recorder is a process singleton, so in
-    // the sim shape every locality row reads the same process-wide value;
-    // distributed (one locality per process) the row is genuinely
-    // per-rank.
-    row("/trace/events",
-        [] { return trace::recorder::global().events_total(); });
-    row("/trace/drops", [] { return trace::recorder::global().drops_total(); });
-    // Telemetry distributions (populated only while PX_STATS is armed).
-    // The registry slot reads the population count; quantiles go through
-    // read_quantile / px.query_hist, and the stats sampler expands each
-    // into per-quantile series.
-    hist_row("/parcels/hist_dispatch_ns",
-             [loc] { return loc->dispatch_hist_snapshot(); });
-    hist_row("/sched/hist_run_ns",
-             [loc] { return loc->sched().run_hist_snapshot(); });
-    hist_row("/sched/hist_wait_ns",
-             [loc] { return loc->sched().wait_hist_snapshot(); });
-    // Sampler self-observation (like /trace/*: a process singleton read
-    // through every locality row in the sim shape, genuinely per-rank
-    // distributed).
-    introspect::stats_collector* st = stats_.get();
-    row("/stats/ticks", [st] { return st->ticks(); });
-    row("/stats/dropped_points", [st] { return st->dropped_points(); });
-    // Backend-specific rows (tcp: reconnects, direct_sends; shm:
-    // ring_full_waits, wakeups; sim: none) — registered only when the
-    // active backend actually maintains them, so the schema never carries
-    // an always-zero row for a counter the backend cannot produce.  A
-    // remote slot takes the names from this process's own endpoint
-    // (sampling a remote endpoint's books locally would assert); every
-    // rank runs the same backend, so the sequence still matches.
-    const auto extras = t->extra_link_counters(hosted ? ep : own_ep);
-    for (std::size_t k = 0; k < extras.size(); ++k) {
-      row(std::string("/net/") + extras[k].name,
-          [t, ep, k] { return t->extra_link_counters(ep)[k].value; });
-    }
-  }
-
-  // Machine-global services, homed where they conceptually live (loc 0 ==
-  // rank 0; other ranks register the same rows sampler-less).
-  const bool home = !distributed_ || rank_ == 0;
-  auto global = [&](const char* path, introspect::sample_fn fn) {
-    if (home) {
-      reg.add(0, path, std::move(fn));
-    } else {
-      reg.add_remote(0, path);
-    }
-  };
-  auto raw = [](const std::atomic<std::uint64_t>& a) {
-    return [&a] { return a.load(std::memory_order_relaxed); };
-  };
-  global("runtime/agas/binds", [this] { return agas_.stats().binds; });
-  global("runtime/agas/cache_hits",
-         [this] { return agas_.stats().cache_hits; });
-  global("runtime/agas/cache_misses",
-         [this] { return agas_.stats().cache_misses; });
-  global("runtime/agas/migrations",
-         [this] { return agas_.stats().migrations; });
-  global("runtime/agas/stale_refreshes",
-         [this] { return agas_.stats().stale_refreshes; });
-  global("runtime/agas/hint_evictions",
-         [this] { return agas_.stats().hint_evictions; });
-  // Unique gids that can no longer resolve because they died with a lost
-  // rank (docs/resilience.md); 0 for the whole life of a healthy machine.
-  global("runtime/agas/gids_lost", [this] { return gids_lost(); });
-
-  global("runtime/lco/depleted_threads",
-         raw(lco::lco_counters::depleted_threads_created));
-  global("runtime/lco/continuations",
-         raw(lco::lco_counters::continuations_attached));
-  global("runtime/lco/fires", raw(lco::lco_counters::fires));
-
-  global("runtime/fabric/in_flight", [t] { return t->in_flight(); });
-
-  rebalancer* bal = balancer_.get();
-  global("runtime/rebalance/rounds", [bal] { return bal->stats().rounds; });
-  global("runtime/rebalance/triggers",
-         [bal] { return bal->stats().triggers; });
-  global("runtime/rebalance/migrations",
-         [bal] { return bal->stats().objects_migrated; });
-  global("runtime/rebalance/redirects",
-         [bal] { return bal->stats().placement_redirects; });
-  global("runtime/rebalance/imbalance_milli", [bal] {
-    return static_cast<std::uint64_t>(bal->stats().last_imbalance * 1000.0);
-  });
-
-  // Pattern-library counters (src/patterns): process-wide statics, homed at
-  // rank 0 like the other global services.
-  global("runtime/patterns/pipelines",
-         raw(patterns::pattern_counters::pipelines_built));
-  global("runtime/patterns/pipeline_items",
-         raw(patterns::pattern_counters::pipeline_items));
-  global("runtime/patterns/map_reduce_jobs",
-         raw(patterns::pattern_counters::map_reduce_jobs));
-  global("runtime/patterns/map_tasks",
-         raw(patterns::pattern_counters::map_tasks));
-  global("runtime/patterns/pool_tasks",
-         raw(patterns::pattern_counters::pool_tasks));
-  global("runtime/patterns/nested",
-         raw(patterns::pattern_counters::nested_patterns));
-}
-
 runtime::~runtime() {
   if (started_) stop();
 }
@@ -594,33 +398,6 @@ void runtime::stop() {
   }
   started_ = false;
 }
-
-std::uint64_t runtime::dump_telemetry() {
-  if (params_.trace == 0 && params_.stats == 0) return 0;
-  std::lock_guard lock(dump_mu_);
-  util::shard_writer w(static_cast<std::uint32_t>(rank_), clock_offset_ns_);
-  trace::recorder::global().write_sections(w);
-  w.begin(util::section_kind::counters);
-  for (const auto& [path, delta] :
-       introspect::registry::delta(boot_counters_, introspect_.snapshot_all())) {
-    w.put_str(path);
-    w.put_u64(static_cast<std::uint64_t>(delta));
-  }
-  stats_->write_sections(w);
-  const std::string path = params_.telemetry_dir + "/px_telemetry." +
-                           std::to_string(rank_) + ".bin";
-  const std::uint64_t bytes = w.write(path);
-  if (bytes == 0) PX_LOG_WARN("telemetry: cannot write shard %s", path.c_str());
-  return bytes;
-}
-
-// Typed: the dump does file I/O, which has no place on the delivery
-// thread.  Registered eagerly so action tables stay identical machine-wide
-// whether or not a run ever triggers it.
-std::uint64_t telemetry_dump_action() {
-  return this_locality()->rt().dump_telemetry();
-}
-PX_REGISTER_ACTION_AS(telemetry_dump_action, "px.telemetry_dump")
 
 locality& runtime::at(gas::locality_id id) {
   PX_ASSERT(id < localities_.size());
@@ -874,111 +651,6 @@ void runtime::run(std::function<void()> root) {
   wait_quiescent();
 }
 
-// -------------------------------------------------------------- migration
-
-namespace {
-
-// Receiving side of px.migrate_object: reconstruct, implant, flip the home
-// directory; the return value rides the continuation back to the source as
-// the acknowledgment that gates retiring its copy.  A typed action (the
-// handoff blocks on the home round trip, so it needs a fiber) — the
-// destination of a migration is a below-mean rank with worker headroom.
-std::uint8_t migrate_implant_action(parcel::migration_record rec);
-PX_REGISTER_ACTION_AS(migrate_implant_action, "px.migrate_object")
-
-std::uint8_t migrate_implant_action(parcel::migration_record rec) {
-  return this_locality()->rt().migrate_implant(rec);
-}
-
-// Home side of the directory flip.  Raw-registered (non-spawning, like
-// px.sink): a directory write is control plane and must not queue behind
-// user fibers — the home of a hot object is often exactly the monopolized
-// rank the migration is shedding load from, and a spawned handler there
-// would stall every handoff until the backlog drained.
-parcel::action_id agas_update_action_id() {
-  static const parcel::action_id id =
-      parcel::action_registry::global().register_action(
-          "px.agas_update", +[](void* ctx, const parcel::parcel_view& pv) {
-            auto* loc = static_cast<locality*>(ctx);
-            const auto args =
-                util::from_bytes<std::tuple<std::uint64_t, gas::locality_id>>(
-                    pv.arguments());
-            const std::uint8_t ok = loc->rt().apply_agas_update(
-                gas::gid::from_bits(std::get<0>(args)), std::get<1>(args));
-            send_continuation_reply(*loc, pv.cont(), util::to_bytes(ok));
-          });
-  return id;
-}
-
-// Eager: action ids are positional; every rank must mint this at boot.
-[[maybe_unused]] const parcel::action_id k_agas_update_registration =
-    agas_update_action_id();
-
-}  // namespace
-
-bool runtime::claim_migration(gas::gid id, std::string* type) {
-  std::lock_guard lock(migrations_lock_);
-  migration_entry& e = migrations_[id];
-  if (e.in_flight) return false;
-  e.in_flight = true;
-  if (type != nullptr) *type = e.type;
-  return true;
-}
-
-void runtime::release_migration(gas::gid id, bool retire) {
-  std::lock_guard lock(migrations_lock_);
-  const auto it = migrations_.find(id);
-  PX_ASSERT(it != migrations_.end() && it->second.in_flight);
-  // Retiring forgets the type with the copy: the destination re-tagged on
-  // implant, and keeping ours would grow the table (and the rebalancer's
-  // residency scans) with every object that ever passed through.
-  if (retire || it->second.type.empty()) {
-    migrations_.erase(it);
-  } else {
-    it->second.in_flight = false;
-  }
-}
-
-void runtime::tag_migratable_object(gas::gid id, std::string type_name) {
-  std::lock_guard lock(migrations_lock_);
-  migrations_[id].type = std::move(type_name);
-}
-
-std::vector<gas::gid> runtime::migratable_residents(std::size_t max) const {
-  std::vector<gas::gid> tagged;
-  {
-    std::lock_guard lock(migrations_lock_);
-    tagged.reserve(migrations_.size());
-    for (const auto& [id, e] : migrations_) {
-      if (!e.type.empty()) tagged.push_back(id);
-    }
-  }
-  // Residency check outside the table lock (has_object takes the object
-  // table lock; never hold both).
-  std::vector<gas::gid> out;
-  const locality& here = *localities_[rank_];
-  for (const auto id : tagged) {
-    if (out.size() >= max) break;
-    if (here.has_object(id)) out.push_back(id);
-  }
-  return out;
-}
-
-std::uint8_t runtime::apply_agas_update(gas::gid id,
-                                        gas::locality_id new_owner) {
-  // effective_home: after a rank loss this update may land at the
-  // casualty's successor, whose adopted shard starts empty — hence the
-  // tolerant rebind (upsert) instead of migrate's bound-entry assert.
-  PX_ASSERT_MSG(!distributed_ || effective_home(id) == rank_,
-                "px.agas_update landed off the home rank");
-  agas_.rebind(id, new_owner);
-  // Refresh this rank's own forwarding view too: routing from the home
-  // should go straight to the new owner, not through a stale cache entry
-  // that would bounce the parcel off the previous one.
-  agas_.note_owner(rank_, id, new_owner);
-  return 1;
-}
-
 // ------------------------------------------------------------- resilience
 
 void runtime::note_lost_gid(gas::gid id) {
@@ -1012,161 +684,14 @@ void runtime::sweep_casualty(gas::locality_id dead) {
   }
   // Resident objects homed at the casualty survive here but their
   // directory authority is gone: re-register each at the successor (who
-  // adopts the casualty's shard index; possibly us).  Objects that were
-  // *resident at* the casualty have nobody to speak for them — their first
-  // parcel resolves unbound at the successor and is reported lost there.
-  const gas::locality_id succ =
-      effective_home(gas::gid::make(gas::gid_kind::data, dead, 1));
+  // adopts the casualty's shard index; possibly us) through the one flip.
+  // Objects that were *resident at* the casualty have nobody to speak for
+  // them — their first parcel resolves unbound at the successor and is
+  // reported lost there.
   for (const gas::gid id : here().resident_objects_homed_at(dead)) {
-    if (succ == rank_) {
-      agas_.rebind(id, rank_);
-      agas_.note_owner(rank_, id, rank_);
-      continue;
-    }
-    parcel::parcel p;
-    p.destination = locality_gid(succ);
-    p.action = agas_update_action_id();
-    p.arguments = util::to_bytes(
-        std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
-    here().send(std::move(p));
+    flip_directory(id, rank_, false);
   }
   bootstrap_->members().note_swept(static_cast<std::uint32_t>(dead));
-}
-
-std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {
-  const gas::gid id = gas::gid::from_bits(rec.gid_bits);
-  if (trace::enabled()) {
-    trace::emit_here(trace::event_kind::migrate_implant, rec.gid_bits,
-                     static_cast<std::uint32_t>(rank_));
-  }
-  const auto* vt = parcel::migratable_registry::global().find(rec.type_name);
-  PX_ASSERT_MSG(vt != nullptr,
-                "migration record names an unregistered type — ranks must "
-                "run the same binary with PX_REGISTER_MIGRATABLE in effect");
-  auto obj = vt->decode(rec.payload);
-  PX_ASSERT(obj != nullptr);
-  // Claim the gid for the whole implant, *including* the home round trip:
-  // the object must not be eligible for an onward migration until the
-  // home has acknowledged ours.  Without this, a chained A->B->C handoff
-  // could put B's and C's px.agas_update parcels on different connections
-  // and the home could apply them out of order, leaving the directory
-  // pointing at a rank that already retired its copy — a permanently
-  // stranded object.  Serializing handoff N+1 behind handoff N's home ack
-  // makes directory-update application order follow real time.
-  const bool claimed = claim_migration(id, nullptr);
-  PX_ASSERT_MSG(claimed,
-                "migration implant for a gid already mid-handoff here");
-  tag_migratable_object(id, rec.type_name);
-  // Implant before the directory flips: from this moment a parcel landing
-  // here (raced ahead on a fresh hint) dispatches instead of bouncing.
-  here().put_object(id, std::move(obj));
-  // effective_home: if the gid's encoded home died, the directory flip
-  // goes to (or happens at) the adopted shard's successor instead.
-  const gas::locality_id dir_home = effective_home(id);
-  if (dir_home == rank_) {
-    apply_agas_update(id, rank_);
-  } else {
-    lco::promise<std::uint8_t> prom;
-    auto fut = prom.get_future();
-    const parcel::continuation cont =
-        make_promise_sink<std::uint8_t>(here(), std::move(prom));
-    parcel::parcel p;
-    p.destination = locality_gid(dir_home);
-    p.action = agas_update_action_id();
-    p.cont = cont;
-    p.arguments = util::to_bytes(
-        std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
-    here().send(std::move(p));
-    const std::uint8_t ok = fut.get();
-    PX_ASSERT_MSG(ok == 1, "home rank refused the directory update");
-  }
-  agas_.note_owner(rank_, id, rank_);
-  release_migration(id, false);
-  return 1;
-}
-
-bool runtime::migrate_gid(gas::gid id, gas::locality_id to) {
-  if (id.kind() != gas::gid_kind::data) return false;
-  PX_ASSERT(to < params_.localities);
-  gas::locality_id from = rank_;
-  if (!distributed_) {
-    const auto owner = agas_.resolve_authoritative(to, id);
-    if (!owner.has_value()) return false;
-    from = *owner;
-  }
-  if (from == to) return at(to).has_object(id);
-  // Works from a plain thread too: in-process the ack fires before
-  // migrate_gid_async returns, and an LCO wait off a fiber spin-sleeps.
-  lco::promise<std::uint8_t> prom;
-  auto fut = prom.get_future();
-  const bool issued = migrate_gid_async(
-      id, from, to, [prom](bool ok) mutable { prom.set_value(ok ? 1 : 0); });
-  if (!issued) return false;
-  return fut.get() == 1;
-}
-
-bool runtime::migrate_gid_async(gas::gid id, gas::locality_id from,
-                                gas::locality_id to,
-                                std::function<void(bool)> done) {
-  if (id.kind() != gas::gid_kind::data || from == to ||
-      from >= params_.localities || to >= params_.localities ||
-      localities_[from] == nullptr) {
-    return false;
-  }
-  // (1) Claim the gid: a concurrent second move is rejected, not queued.
-  std::string type;
-  if (!claim_migration(id, &type)) return false;
-  // (2) Under the claim, `from` must still hold the object, and state that
-  // crosses a process boundary needs a registered codec.
-  auto obj = at(from).get_object(id);
-  const bool same_process = localities_[to] != nullptr;
-  const parcel::migratable_registry::vtable* vt =
-      same_process ? nullptr
-                   : parcel::migratable_registry::global().find(type);
-  if (obj == nullptr || (!same_process && vt == nullptr)) {
-    release_migration(id, false);
-    return false;
-  }
-  // (5) Retire the source copy, then (6) release the claim and report.
-  auto retire = [this, id, from, to, same_process,
-                 done = std::move(done)] {
-    at(from).erase_object(id);
-    if (!same_process) {
-      agas_.note_owner(rank_, id, to);
-      if (trace::enabled()) {
-        trace::emit_here(trace::event_kind::migrate_end, id.bits(),
-                         static_cast<std::uint32_t>(to));
-      }
-    }
-    release_migration(id, !same_process);
-    if (done) done(true);
-  };
-  if (same_process) {
-    // (3) Implant, (4) rebind: a parcel racing the move finds the object
-    // wherever its resolution lands it (old owner until the directory
-    // flips, new owner afterwards).
-    at(to).put_object(id, std::move(obj));
-    agas_.migrate(id, to);
-    retire();
-    return true;
-  }
-  // (3) Ship the record; (4) the destination flips the home directory
-  // before it acks, and the ack sink (plain, on the delivery thread, so
-  // non-blocking) retires our copy.
-  parcel::migration_record rec;
-  rec.gid_bits = id.bits();
-  rec.type_name = std::move(type);
-  rec.payload = vt->encode(obj);
-  if (trace::enabled()) {
-    trace::emit_here(trace::event_kind::migrate_begin, id.bits(),
-                     static_cast<std::uint32_t>(to));
-  }
-  const gas::gid sink = here().register_sink(
-      [retire = std::move(retire)](parcel::parcel) { retire(); });
-  apply_cont_from<&migrate_implant_action>(
-      here(), locality_gid(to),
-      parcel::continuation{sink, sink_action_id()}, rec);
-  return true;
 }
 
 namespace {

@@ -19,16 +19,19 @@
 //     the AGAS directory shard for a gid lives in its *home rank's*
 //     process, and objects genuinely migrate between processes.  One
 //     handoff (migrate_gid_async; migrate_gid is its blocking wrapper)
-//     serves both shapes: within a process it moves the shared_ptr,
-//     across processes it ships a registered-migratable object's state
-//     (parcel::migration_record) to the destination, which implants it,
-//     flips the home directory, and acks before the source retires its
-//     copy; parcels routed on stale knowledge heal through bounded home
-//     forwarding with piggybacked owner hints (gas/resolve.hpp), and the
-//     rebalancer issues cross-process migrations fed by cross-rank
-//     query_counter samples.  Closure-carrying calls (the untyped
-//     process::spawn) remain local-only — closures cannot cross a process
-//     boundary; typed actions (process::spawn_on<Fn>, process_ref,
+//     serves both shapes, its table and decisions in core::migration
+//     (core/migration.hpp), which this class drives: within a process it
+//     moves the shared_ptr, across processes it ships a
+//     registered-migratable object's state (parcel::migration_record) to
+//     the destination, which implants it, flips the home directory
+//     (flip_directory, the one path every flip takes), and acks before
+//     the source retires its copy; parcels routed on stale knowledge heal
+//     through bounded home forwarding with piggybacked owner hints
+//     (gas/resolve.hpp), and the rebalancer issues cross-process
+//     migrations fed by cross-rank query_counter samples.  Closure-carrying
+//     calls (the untyped process::spawn) remain local-only — closures
+//     cannot cross a process boundary; typed actions
+//     (process::spawn_on<Fn>, process_ref,
 //     litlx::atomic_object::atomically<Fn>) are the cross-process
 //     vocabulary, since PR 6 with per-rank Dijkstra–Scholten credit
 //     splitting (core/process_site.hpp) so remote children spawn tracked
@@ -42,6 +45,11 @@
 // Telemetry has one export path: the flight recorder and the stats
 // sampler collect separately (PX_TRACE, PX_STATS), and dump_telemetry
 // writes both into one shard per rank (docs/telemetry.md).
+//
+// Definitions: runtime.cpp holds construction, routing, quiescence and the
+// wire-params blob; runtime_counters.cpp the counter schema and the
+// telemetry shard; runtime_migration.cpp the migration driver and the
+// directory flip.
 #pragma once
 
 #include <atomic>
@@ -52,11 +60,11 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/locality.hpp"
+#include "core/migration.hpp"
 #include "core/parcel_port.hpp"
 #include "core/process_site.hpp"
 #include "core/rebalancer.hpp"
@@ -138,7 +146,7 @@ struct runtime_params {
   std::size_t trace_ring_bytes = 0;
   int stats = -1;
   std::uint64_t stats_interval_us = 0;
-  std::string telemetry_dir;
+  std::string telemetry_dir{};
 };
 
 class runtime {
@@ -266,17 +274,18 @@ class runtime {
   template <typename T, typename... Args>
   gas::gid new_migratable(gas::locality_id where, Args&&... args) {
     const gas::gid id = new_object<T>(where, std::forward<Args>(args)...);
-    tag_migratable_object(id, parcel::migratable_type<T>::name());
+    migrations_.tag(id.bits(), parcel::migratable_type<T>::name());
     return id;
   }
 
   // The one migration handoff, on every deployment shape: moves object
   // `id` from locality `from` to `to`.  Claims the gid in the per-gid
-  // table, checks under the claim that `from` still holds the object,
-  // transfers it, updates the directory, retires the source copy, then
-  // releases the claim and fires `done(true)`.  Within a process the
-  // shared_ptr moves (mutable state never forks, untagged objects move
-  // too) and `done` fires before the call returns.  Across processes
+  // table (core::migration decides each step; this runtime drives it),
+  // checks under the claim that `from` still holds the object, transfers
+  // it, updates the directory, retires the source copy, then releases the
+  // claim and fires `done(true)`.  Within a process the shared_ptr moves
+  // (mutable state never forks, untagged objects move too) and `done`
+  // fires before the call returns.  Across processes
   // (`from` must be this rank) the px.migrate_object record ships the
   // state and `done` fires on the delivery thread once the ack retires the
   // source copy; the call never blocks, because the rebalancer acts from
@@ -293,12 +302,6 @@ class runtime {
   // ack.  True when the object ends up at `to` (already there included).
   bool migrate_gid(gas::gid id, gas::locality_id to);
 
-  // Records the migratable type name a gid was created under
-  // (new_migratable tags at creation; cross-process implants re-tag at the
-  // destination so onward migrations keep working, and the source forgets
-  // the tag when it retires its copy).
-  void tag_migratable_object(gas::gid id, std::string type_name);
-
   // Up to `max` migratable-tagged gids currently resident at this rank's
   // locality.  The rebalancer's fallback candidate source: a latency-bound
   // backlog delivers too rarely for the 1-in-8 heat sampler to name the
@@ -307,10 +310,15 @@ class runtime {
   std::vector<gas::gid> migratable_residents(std::size_t max) const;
 
   // Internal: the receiving side of px.migrate_object (implant + directory
-  // flip), and the home side of the directory update.  Both run as typed
-  // actions (runtime.cpp).
+  // flip), run as a typed action.
   std::uint8_t migrate_implant(const parcel::migration_record& rec);
-  std::uint8_t apply_agas_update(gas::gid id, gas::locality_id new_owner);
+  // Internal: the one home-directory flip — `id` is now owned by `owner`.
+  // At the gid's effective home (this rank) the directory rebinds here;
+  // elsewhere a px.agas_update parcel carries the flip to the home, and
+  // `await_ack` blocks the calling fiber until the home has applied it.
+  // The implant, the px.agas_update handler and the rank-loss sweep all
+  // flip through it.
+  void flip_directory(gas::gid id, gas::locality_id owner, bool await_ack);
 
   // ----------------------------------------------------------- resilience
   //
@@ -342,6 +350,8 @@ class runtime {
  private:
   friend class locality;
 
+  // Resolves every knob from `env`, the one read of the PX_* environment.
+  runtime(runtime_params params, const util::config& env);
   void deliver_from_fabric(net::message& m);
   void register_counters();
   std::uint64_t activity_snapshot() const;
@@ -354,7 +364,7 @@ class runtime {
   // The sweep, run once per casualty by the membership's first verdict:
   // close and fold its link, purge hints at it, drop directory entries for
   // objects that died with it, re-register resident remotely-homed gids
-  // at the successor.
+  // at the successor through flip_directory.
   void sweep_casualty(gas::locality_id dead);
 
   runtime_params params_;
@@ -386,20 +396,8 @@ class runtime {
   // Per-process credit ledgers for this rank (process_sites()).
   process_site_table psites_;
 
-  // The per-gid migration table, one lock: which gids carry a registered
-  // migratable type, and which are mid-handoff.  An entry with neither is
-  // erased.  claim_migration marks a gid in flight (false when it already
-  // is) and reports its type ("" when untagged); release_migration ends
-  // the claim, and `retire` also forgets the type (the copy left this
-  // process).
-  struct migration_entry {
-    std::string type;
-    bool in_flight = false;
-  };
-  bool claim_migration(gas::gid id, std::string* type);
-  void release_migration(gas::gid id, bool retire);
-  mutable util::spinlock migrations_lock_;
-  std::unordered_map<gas::gid, migration_entry> migrations_;
+  // The per-gid migration table and the handoff's decisions.
+  migration migrations_;
 
   // Telemetry bookkeeping: the boot-time counter snapshot the shard's
   // counters section deltas against, a lock that keeps dumps one at a

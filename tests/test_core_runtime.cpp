@@ -5,8 +5,10 @@
 
 #include <atomic>
 #include <numeric>
+#include <vector>
 
 #include "core/action.hpp"
+#include "core/migration.hpp"
 #include "core/process.hpp"
 #include "core/runtime.hpp"
 
@@ -422,6 +424,92 @@ TEST(Runtime, MigrationFromAStaleSourceIsRejected) {
   EXPECT_TRUE(called);
   EXPECT_TRUE(rt.at(2).has_object(obj));
   rt.stop();
+}
+
+// -------------------------------------------- migration core, no runtime
+//
+// core::migration alone, driven with hand-written handoff sequences: gids
+// are plain numbers and nothing else is constructed.
+
+using step = core::migration::step;
+constexpr std::uint64_t kGid = 42;
+
+TEST(MigrationCore, SecondClaimOfAnInFlightGidIsRejected) {
+  core::migration m;
+  m.tag(kGid, "T");
+  EXPECT_FALSE(m.claim(kGid, false).has_value());  // not a data gid
+  ASSERT_EQ(m.claim(kGid, true), "T");
+  EXPECT_FALSE(m.claim(kGid, true).has_value());
+  ASSERT_EQ(m.route(kGid, true, true, false), step::move);
+  EXPECT_FALSE(m.claim(kGid, true).has_value());  // still mid-handoff
+  m.retire(kGid, false);
+  EXPECT_EQ(m.claim(kGid, true), "T");
+}
+
+TEST(MigrationCore, StaleSourceIsRejectedAndReleasesTheClaim) {
+  core::migration m;
+  m.tag(kGid, "T");
+  ASSERT_TRUE(m.claim(kGid, true).has_value());
+  EXPECT_EQ(m.route(kGid, false, true, false), step::reject);
+  ASSERT_EQ(m.claim(kGid, true), "T");  // released, type kept
+  EXPECT_EQ(m.route(kGid, false, false, true), step::reject);
+  EXPECT_TRUE(m.claim(kGid, true).has_value());
+}
+
+TEST(MigrationCore, UntaggedGidCannotCrossProcesses) {
+  core::migration m;
+  ASSERT_EQ(m.claim(kGid, true), "");
+  EXPECT_EQ(m.route(kGid, true, false, true), step::reject);
+  ASSERT_EQ(m.claim(kGid, true), "");
+  EXPECT_EQ(m.route(kGid, true, true, false), step::move);  // in-process
+  m.retire(kGid, false);
+  EXPECT_TRUE(m.tagged().empty());
+
+  m.tag(kGid, "T");
+  ASSERT_EQ(m.claim(kGid, true), "T");
+  EXPECT_EQ(m.route(kGid, true, false, false), step::reject);  // no codec
+  ASSERT_EQ(m.claim(kGid, true), "T");
+  EXPECT_EQ(m.route(kGid, true, false, true), step::ship);
+}
+
+TEST(MigrationCore, RetireAcrossProcessesForgetsTheType) {
+  core::migration m;
+  m.tag(1, "T");
+  m.tag(2, "T");
+  ASSERT_EQ(m.claim(1, true), "T");
+  ASSERT_EQ(m.route(1, true, false, true), step::ship);
+  m.retire(1, true);
+  ASSERT_EQ(m.claim(2, true), "T");
+  ASSERT_EQ(m.route(2, true, true, false), step::move);
+  m.retire(2, false);
+  EXPECT_EQ(m.tagged(), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(m.claim(1, true), "");
+  EXPECT_EQ(m.claim(2, true), "T");
+}
+
+TEST(MigrationCore, ImplantOfAGidMidHandoffIsRefused) {
+  core::migration m;
+  m.tag(kGid, "T");
+  ASSERT_TRUE(m.claim(kGid, true).has_value());
+  EXPECT_FALSE(m.implant(kGid, "U"));
+  ASSERT_EQ(m.route(kGid, true, false, true), step::ship);
+  m.retire(kGid, true);
+  EXPECT_TRUE(m.tagged().empty());  // the refused implant tagged nothing
+  EXPECT_TRUE(m.implant(kGid, "U"));
+  EXPECT_FALSE(m.implant(kGid, "U"));
+}
+
+// A->B->C at B: the object arrived from A and B's directory flip is out to
+// the home.  B->C must wait for that ack, or the home could apply C's flip
+// before B's and point at a rank that already retired its copy.
+TEST(MigrationCore, ChainedHandoffWaitsForTheHomeAck) {
+  core::migration b;
+  ASSERT_TRUE(b.implant(kGid, "T"));
+  EXPECT_EQ(b.tagged(), std::vector<std::uint64_t>{kGid});
+  EXPECT_FALSE(b.claim(kGid, true).has_value());
+  b.implanted(kGid);
+  ASSERT_EQ(b.claim(kGid, true), "T");
+  EXPECT_EQ(b.route(kGid, true, false, true), step::ship);
 }
 
 // ---------------------------------------------------------------- process
