@@ -19,8 +19,9 @@
 namespace px::core {
 
 // Built-in continuation target: fire a single-shot LCO sink.  Runs on the
-// fabric progress thread by design — firing a future is enqueue-only work
-// and skipping the thread spawn keeps continuation latency minimal.
+// thread that received the frame by design — firing a future is
+// enqueue-only work and skipping the thread spawn keeps continuation
+// latency minimal.
 // Registered as a raw function pointer (non-allocating dispatch); the sink
 // closure may outlive the wire frame, so the parcel is materialized here.
 parcel::action_id sink_action_id() {
@@ -144,15 +145,11 @@ runtime::runtime(runtime_params params, const util::config& cfg)
   threads::scheduler_params sp;
   sp.workers = params_.workers_per_locality;
   sp.stack_bytes = params_.stack_bytes;
-  // Threads on this host that may spin at once, counted here once for both
-  // spin choices (the workers' idle spin and the shm receiver's): every
-  // locality's workers, plus each rank's shm progress thread.  tcp's
-  // progress thread blocks in poll(2) and the sim fabric's on a condition
-  // variable, so neither is counted.
-  const auto n = static_cast<unsigned>(params_.localities);
-  const bool shm = params_.net.backend == "shm";
-  sp.host_threads = n * sp.workers + (shm ? n : 0);
-  const bool host_has_cores = util::spin_pays(sp.host_threads);
+  // Threads on this host that may spin at once: every locality's workers.
+  // No transport thread spins (shm's progress thread sleeps on its doorbell
+  // while the workers poll the rings, tcp's blocks in poll(2), the sim
+  // fabric's on a condition variable).
+  sp.host_threads = static_cast<unsigned>(params_.localities) * sp.workers;
 
   // In distributed mode this process hosts exactly one locality (its
   // rank); the other slots stay null so a stray in-process access to a
@@ -203,7 +200,6 @@ runtime::runtime(runtime_params params, const util::config& cfg)
       sp.nranks = static_cast<std::uint32_t>(params_.localities);
       sp.ring_bytes = static_cast<std::size_t>(cfg.get_int(
           "shm.ring_bytes", static_cast<std::int64_t>(sp.ring_bytes)));
-      sp.spin_us = host_has_cores ? 50 : 2;
       dist_ = std::make_unique<net::shm_transport>(sp);
     }
     // Resilience knobs + fault plan resolve from this rank's own
@@ -289,6 +285,11 @@ runtime::runtime(runtime_params params, const util::config& cfg)
           port->flush_all();
           bal->poll();
         });
+    // Receive on the idle worker: a spinning worker reads the links itself.
+    if (dist_ != nullptr) {
+      localities_[i]->sched_.set_poll_hook(
+          [d = dist_.get()](bool leaving) { d->poll(leaving); });
+    }
   }
   // Backstop: if every worker of a locality is pinned busy (or asleep with
   // the inject path quiet), the transport progress thread flushes and

@@ -45,8 +45,8 @@ struct shm_pair_hdr {
 
 // Per-rank doorbell: `seq` is the futex word every peer bumps on any event
 // for this rank (new record, space freed, consumption progress, closure);
-// `sleeping` is the Dekker flag that lets senders skip FUTEX_WAKE while
-// the receiver is spinning.
+// `sleeping` is the Dekker flag that lets senders skip FUTEX_WAKE while a
+// thread of this rank polls the rings.
 struct shm_doorbell {
   std::uint32_t magic;
   std::atomic<std::uint32_t> seq;
@@ -273,12 +273,28 @@ void shm_transport::ring_doorbell(detail::shm_doorbell* db) {
   db->seq.fetch_add(1, std::memory_order_seq_cst);
   if (db->sleeping.load(std::memory_order_seq_cst) != 0) {
     futex_wake_one(&db->seq);
-    // The row counts wakes of peers; wake() rings our own doorbell.
-    if (db != own_db_) wakeups_.fetch_add(1, std::memory_order_relaxed);
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void shm_transport::wake() { ring_doorbell(own_db_); }
+// Unconditional: the progress thread may sleep while a worker polls (the
+// flag then reads 0), and a hand-over or a stop must still reach it.
+void shm_transport::wake() {
+  own_db_->seq.fetch_add(1, std::memory_order_seq_cst);
+  futex_wake_one(&own_db_->seq);
+}
+
+bool shm_transport::has_input(std::size_t rank) const noexcept {
+  const peer& p = peers_[rank];
+  return p.in->tail.load(std::memory_order_acquire) !=
+             p.in->head.load(std::memory_order_relaxed) ||
+         p.in->producer_closed.load(std::memory_order_relaxed) != 0 ||
+         p.out->consumer_closed.load(std::memory_order_relaxed) != 0;
+}
+
+void shm_transport::polled(bool any) {
+  own_db_->sleeping.store(any ? 0 : 1, std::memory_order_seq_cst);
+}
 
 bool shm_transport::pump_in(std::size_t rank) {
   peer& p = peers_[rank];
@@ -373,34 +389,27 @@ distributed_transport::ready_links shm_transport::wait(bool idle) {
         }
       }
     }
-    // Spin window: zero syscalls while both sides stay hot.
-    const auto spin_deadline = now + std::chrono::microseconds(params_.spin_us);
-    bool rung = false;
-    while (clock::now() < spin_deadline) {
-      if (own_db_->seq.load(std::memory_order_acquire) != seq_) {
-        rung = true;
-        break;
-      }
-      util::cpu_relax();
-    }
-    if (!rung) {
+    // The count is read before the pollers: a worker that stops polling
+    // after that read bumps it (wake()) if it leaves work behind.
+    std::uint32_t expect = own_db_->seq.load(std::memory_order_seq_cst);
+    bool work = false;
+    if (!workers_polling()) {
       // Dekker handoff: publish intent, re-check, then sleep.  A sender
       // that bumped seq after our load either sees `sleeping` (and wakes
       // us) or raced our re-check — in which case futex_wait returns
       // EAGAIN on the stale value.  Either way no wakeup is lost.
+      expect = seq_;
       own_db_->sleeping.store(1, std::memory_order_seq_cst);
-      bool work = own_db_->seq.load(std::memory_order_seq_cst) != seq_;
+      work = own_db_->seq.load(std::memory_order_seq_cst) != seq_;
       for (std::size_t r = 0; !work && r < peers_.size(); ++r) {
-        work = link_open(r) &&
-               peers_[r].in->tail.load(std::memory_order_acquire) !=
-                   peers_[r].in->head.load(std::memory_order_relaxed);
+        work = link_open(r) && has_input(r);
       }
-      if (!work) {
-        const int rc = futex_wait(&own_db_->seq, seq_, 1'000'000 /* 1ms */);
-        ready.timed_out = rc != 0 && errno == ETIMEDOUT;
-      }
-      own_db_->sleeping.store(0, std::memory_order_seq_cst);
     }
+    if (!work) {
+      const int rc = futex_wait(&own_db_->seq, expect, 1'000'000 /* 1ms */);
+      ready.timed_out = rc != 0 && errno == ETIMEDOUT;
+    }
+    own_db_->sleeping.store(0, std::memory_order_seq_cst);
   }
   // The next pass starts from this count: any event after it rings again.
   seq_ = own_db_->seq.load(std::memory_order_acquire);
@@ -409,7 +418,8 @@ distributed_transport::ready_links shm_transport::wait(bool idle) {
 
 std::vector<extra_link_counter> shm_transport::channel_counters() const {
   return {{"ring_full_waits", queued_frames()},
-          {"wakeups", wakeups_.load(std::memory_order_relaxed)}};
+          {"wakeups", wakeups_.load(std::memory_order_relaxed)},
+          {"worker_rx", worker_frames()}};
 }
 
 }  // namespace px::net

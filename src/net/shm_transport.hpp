@@ -16,12 +16,15 @@
 //     index and refreshes only when the ring looks full/empty, so a
 //     steady-state send is: write payload, bump tail (release), bump the
 //     peer's doorbell counter — no syscall, no lock shared with the peer.
-//   * Sleep/wake is a per-rank doorbell segment holding a futex word.
-//     wait() spins for shm_params::spin_us, then publishes a `sleeping`
-//     flag (Dekker-style: seq_cst on both sides), re-scans, and
-//     futex-waits on the counter.  Senders bump the counter first and only
-//     issue FUTEX_WAKE when `sleeping` is set.  A stale counter observed by
-//     the sleeper makes the kernel return EAGAIN: no wakeup can be lost.
+//   * Idle workers read the rings in their spin window (has_input() is
+//     `tail != head` or a closed flag).  The progress thread never spins:
+//     it sleeps on a per-rank doorbell segment holding a futex word.  The
+//     doorbell's `sleeping` flag means "no thread of this rank polls"; the
+//     last poller out, or the progress thread before it sleeps, sets it
+//     and re-scans (Dekker-style: seq_cst on both sides).  Senders bump the
+//     counter first and only issue FUTEX_WAKE when `sleeping` is set.  A
+//     stale counter observed by the sleeper makes the kernel return
+//     EAGAIN: no wakeup can be lost.
 //   * A unit is in flight until the peer's handler has returned
 //     (`consumed_units`, what unconsumed_units() reads), which makes
 //     drain() a true peer-consumption barrier.
@@ -55,11 +58,6 @@ struct shm_params {
   // A frame larger than the ring can never be shipped and is dropped with
   // a diagnostic.
   std::size_t ring_bytes = 1u << 20;
-  // Receiver spin window before futex sleep.  The runtime sets 50 when the
-  // host has a core for every busy thread (util::spin_pays) and 2
-  // otherwise, where spinning only steals the sender's cycles; the default
-  // here is the oversubscribed one.
-  std::int64_t spin_us = 2;
   // Budget for peers to create/attach segments while the mesh comes up.
   std::uint64_t connect_timeout_ms = 20'000;
   // Poisons the link on any record claiming a frame larger than this.
@@ -88,12 +86,15 @@ class shm_transport final : public distributed_transport {
  protected:
   write_status try_write(std::size_t rank, outgoing& o) override;
   bool pump_in(std::size_t rank) override;
+  bool has_input(std::size_t rank) const noexcept override;
+  void polled(bool any) override;
   ready_links wait(bool idle) override;
   void wake() override;
   std::uint64_t unconsumed_units(std::size_t rank) const noexcept override;
   void close_channel(std::size_t rank) override;
-  // Frames parked because a peer ring was full, and futex wakeups actually
-  // issued (0 under steady spin = the zero-syscall hot path is real).
+  // Frames parked because a peer ring was full, futex wakeups of peers
+  // (0 while the peer's worker polls = the zero-syscall hot path is real),
+  // and frames a polling worker delivered.
   std::vector<extra_link_counter> channel_counters() const override;
 
  private:

@@ -68,7 +68,7 @@ void tcp_transport::connect_peers(const std::vector<std::string>& table) {
   std::uint64_t waited_ms = 0;
   while (expected > 0) {
     pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = poll(&pfd, 1, 100);
+    const int rc = ::poll(&pfd, 1, 100);
     if (rc == 0) {
       waited_ms += 100;
       PX_ASSERT_MSG(waited_ms < params_.connect_timeout_ms,
@@ -170,7 +170,7 @@ distributed_transport::ready_links tcp_transport::wait(bool) {
   // wake pipe byte keeps poll from sleeping, and POLLOUT interest is
   // recomputed from the queues every pass.
   ready_links ready;
-  const int rc = poll(pfds_.data(), pfds_.size(), kPollTimeoutMs);
+  const int rc = ::poll(pfds_.data(), pfds_.size(), kPollTimeoutMs);
   if (rc < 0) {
     PX_ASSERT_MSG(errno == EINTR, "tcp transport: poll() failed");
     return ready;

@@ -6,9 +6,16 @@
 #include "parcel/parcel.hpp"
 #include "util/assert.hpp"
 #include "util/fault.hpp"
+#include "util/fence.hpp"
 #include "util/log.hpp"
 
 namespace px::net {
+
+namespace {
+// The transport whose progress thread / whose poll() this thread is in.
+thread_local const distributed_transport* tl_progress = nullptr;
+thread_local const distributed_transport* tl_polling = nullptr;
+}  // namespace
 
 // Key functions: anchor the transport vtables in one translation unit.
 transport::~transport() = default;
@@ -193,6 +200,7 @@ void distributed_transport::deliver(std::size_t rank,
   m.units = units;
   m.payload = std::move(frame);
   msgs_rx_.fetch_add(1, std::memory_order_relaxed);
+  if (tl_polling == this) worker_rx_.fetch_add(1, std::memory_order_relaxed);
   handler_(m);
   if (m.payload.capacity() > 0) pool_.release(std::move(m.payload));
   // Counted only after the handler returned: "delivered" in the
@@ -210,6 +218,10 @@ const char* distributed_transport::unless_expected(
 }
 
 void distributed_transport::close_peer(std::size_t rank, const char* why) {
+  if (tl_progress != this) {
+    hand_over(rank, why);
+    return;
+  }
   peer_link& l = links_[rank];
   std::uint64_t orphaned = 0;
   {
@@ -255,33 +267,78 @@ void distributed_transport::stop_progress() {
 }
 
 void distributed_transport::progress_loop() {
+  tl_progress = this;
   bool idle = false;
   for (;;) {
     const ready_links ready = wait(idle);
     if (ready.timed_out && idle_cb_) idle_cb_();
-    // External death verdicts (mark_peer_dead) land here, so every link
-    // close runs on the progress thread.
+    // Death verdicts (mark_peer_dead) and the closes a polling worker met
+    // land here, so every link close runs on the progress thread.
     const std::uint64_t doomed =
-        pending_dead_.load(std::memory_order_relaxed) != 0
-            ? pending_dead_.exchange(0, std::memory_order_acq_rel)
+        pending_close_.load(std::memory_order_relaxed) != 0
+            ? pending_close_.exchange(0, std::memory_order_acq_rel)
             : 0;
     for (std::size_t r = 0; doomed != 0 && r < links_.size(); ++r) {
       if ((doomed >> r) & 1u) {
-        close_peer(r, "peer declared dead by the control plane");
+        close_peer(r, links_[r].verdict.load(std::memory_order_acquire));
       }
     }
-    bool did = false;
-    for (std::size_t r = 0; r < links_.size(); ++r) {
-      // A pump may close its link, so `open` is read before each.
-      if (((ready.in >> r) & 1u) && link_open(r)) did |= pump_in(r);
-      if (((ready.out >> r) & 1u) && link_open(r)) did |= pump_out(r);
-    }
+    const bool did = pump(ready);
     notify_if_drained();
     if (stopping_.load(std::memory_order_acquire) && in_flight() == 0) {
       return;  // every accepted parcel left this process: graceful drain
     }
     idle = !did;
   }
+}
+
+bool distributed_transport::pump(const ready_links& ready) {
+  if (rx_claim_.exchange(true, std::memory_order_acquire)) return false;
+  bool did = false;
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    // A pump may close its link, so `open` is read before each.
+    if (((ready.in >> r) & 1u) && link_open(r)) did |= pump_in(r);
+    if (((ready.out >> r) & 1u) && link_open(r)) did |= pump_out(r);
+  }
+  rx_claim_.store(false, std::memory_order_release);
+  return did;
+}
+
+distributed_transport::ready_links distributed_transport::pollable()
+    const noexcept {
+  ready_links ready;
+  const std::uint64_t closing = pending_close_.load(std::memory_order_relaxed);
+  for (std::size_t r = 0; r < links_.size(); ++r) {
+    if (r == self_rank_ || ((closing >> r) & 1u) || !link_open(r)) continue;
+    if (has_input(r)) ready.in |= 1ull << r;
+    if (direct_batches_ &&
+        links_[r].queued_units.load(std::memory_order_relaxed) != 0) {
+      ready.out |= 1ull << r;
+    }
+  }
+  return ready;
+}
+
+void distributed_transport::poll(bool leaving) {
+  if (leaving) {
+    if (tl_polling != this) return;
+    tl_polling = nullptr;
+    if (pollers_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      // Senders wake the progress thread again from here; what one left
+      // while it still skipped the wake is handed on (wait()'s Dekker).
+      polled(false);
+      util::thread_fence(std::memory_order_seq_cst);
+      const ready_links left = pollable();
+      if ((left.in | left.out) != 0) wake();
+    }
+    return;
+  }
+  if (tl_polling != this) {
+    tl_polling = this;
+    if (pollers_.fetch_add(1, std::memory_order_seq_cst) == 0) polled(true);
+  }
+  const ready_links ready = pollable();
+  if ((ready.in | ready.out) != 0) pump(ready);
 }
 
 endpoint_stats distributed_transport::stats(endpoint_id ep) const {
@@ -329,7 +386,13 @@ std::uint64_t distributed_transport::live_units_received(
 
 void distributed_transport::mark_peer_dead(std::size_t rank) noexcept {
   if (rank >= links_.size() || rank == self_rank_ || !link_open(rank)) return;
-  pending_dead_.fetch_or(1ull << rank, std::memory_order_acq_rel);
+  hand_over(rank, "peer declared dead by the control plane");
+}
+
+void distributed_transport::hand_over(std::size_t rank,
+                                      const char* why) noexcept {
+  links_[rank].verdict.store(why, std::memory_order_release);
+  pending_close_.fetch_or(1ull << rank, std::memory_order_acq_rel);
   wake();
 }
 

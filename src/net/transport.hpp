@@ -20,8 +20,8 @@
 //     finished handling the frame — cross-process flight is additionally
 //     tracked by the distributed quiescence counters (runtime::wait_quiescent);
 //   * drain() blocks until in_flight() == 0;
-//   * handlers and the idle callback run on the backend's progress thread
-//     and must not block for long.
+//   * handlers run on the progress thread or a polling worker, the idle
+//     callback on the progress thread; neither may block for long.
 #pragma once
 
 #include <atomic>
@@ -192,8 +192,7 @@ class whole_frame_ingest {
 //     dead-link drops, and one rule — a frame to a peer whose send queue
 //     is empty goes to try_write() from the sending thread, under the
 //     peer's send lock; the rest waits in the queue, in order, for the
-//     progress thread.  With direct_batches == false (tcp), batch frames
-//     always queue;
+//     pump.  With direct_batches == false (tcp), batch frames always queue;
 //   * in_flight() and drain(): queued units plus, per open link, the
 //     channel's unconsumed_units();
 //   * the peer ledger: per-peer unit books and the orderly-vs-unexpected
@@ -202,10 +201,11 @@ class whole_frame_ingest {
 //     (tcp EOF, shm pid probe or closed flag, or mark_peer_dead from the
 //     control plane's verdict; docs/resilience.md);
 //   * close_peer(), the one close routine, and the progress thread: fold
-//     pending death verdicts, wait() for ready links, pump_in() the
-//     readable, write the queues of the writable, wake drain() waiters,
-//     run the idle callback after a wait that timed out, and exit once
-//     stopping with nothing in flight.
+//     pending closes, wait() for ready links, pump them, wake drain()
+//     waiters, run the idle callback after a wait that timed out, and exit
+//     once stopping with nothing in flight;
+//   * poll(): idle workers pump too.  One pump routine under one receive
+//     claim keeps one consumer per channel, and so its frame order.
 // A backend supplies its ctor, listen_address(), connect_peers() (ending
 // in start_progress()), a dtor that begins with stop_progress(), and the
 // channel hooks below.
@@ -258,6 +258,15 @@ class distributed_transport : public transport {
   }
   std::uint64_t queued_frames() const noexcept {
     return queued_frames_.load(std::memory_order_relaxed);
+  }
+
+  // The scheduler's poll hook: poll(false) each pass of a worker's spin
+  // window pumps what is pollable(), unless another thread holds the
+  // claim; poll(true) leaves.  The last poller out re-checks the links and
+  // wakes the progress thread if something is waiting.
+  void poll(bool leaving);
+  std::uint64_t worker_frames() const noexcept {  // frames poll() delivered
+    return worker_rx_.load(std::memory_order_relaxed);
   }
 
   // Arms orderly-shutdown mode: subsequent peer EOFs/closures are expected
@@ -351,13 +360,21 @@ class distributed_transport : public transport {
 
   // Puts `o` from `o.offset` into the channel to `rank` without blocking,
   // advancing `o.offset`.  Called from send() under the peer's send lock,
-  // or from the progress thread for the queue's front; never twice at
+  // or by the receive claim's holder for the queue's front; never twice at
   // once for one peer.
   virtual write_status try_write(std::size_t rank, outgoing& o) = 0;
-  // Progress thread: takes in what link `rank` has, hands each whole frame
-  // to deliver(), and close_peer()s on EOF or garbage.  True if anything
-  // happened.
+  // Receive claim's holder: takes in what link `rank` has, hands each
+  // whole frame to deliver(), and close_peer()s on EOF or garbage.  True
+  // if anything happened.
   virtual bool pump_in(std::size_t rank) = 0;
+  // Any thread: whether link `rank` holds a frame or a close for
+  // pump_in().  False (the default) leaves the link to the progress thread.
+  virtual bool has_input(std::size_t rank) const noexcept {
+    (void)rank;
+    return false;
+  }
+  // The first worker began (`true`) or the last one stopped polling.
+  virtual void polled(bool any) { (void)any; }
   // Progress thread: waits until some link is ready, wake() is called or
   // a short timeout passes.  With `idle` false (the last pass did work),
   // a channel that pumps every link each pass may return all at once.
@@ -380,17 +397,22 @@ class distributed_transport : public transport {
   void start_progress();
   // Lets the progress thread drain what is in flight, then joins it.
   void stop_progress();
-  // Progress thread: runs the handler on one whole frame of `units`
-  // parcels from `rank` and books the delivery.
+  // Receive claim's holder: runs the handler on one whole frame of
+  // `units` parcels from `rank` and books the delivery.
   void deliver(std::size_t rank, std::vector<std::byte>&& frame,
                std::uint32_t units);
-  // Progress thread: closes link `rank`, once.  `why == nullptr` is an
-  // orderly close; anything else is logged and reports the peer dead.
-  // Clears `open` under the send lock (no sender touches the channel
-  // again), releases the channel, folds the queued units — on an orderly
-  // close also the unconsumed ones — into the dropped books, then, with
-  // no lock held, books the disconnect (which may fire the death handler).
+  // Closes link `rank`, once.  `why == nullptr` is an orderly close;
+  // anything else is logged and reports the peer dead.  Clears `open`
+  // under the send lock (no sender touches the channel again), releases
+  // the channel, folds the queued units — on an orderly close also the
+  // unconsumed ones — into the dropped books, then, with no lock held,
+  // books the disconnect (which may fire the death handler).  Off the
+  // progress thread it only asks that thread to close the link, so the
+  // death handler never runs in scheduler context.
   void close_peer(std::size_t rank, const char* why);
+  bool workers_polling() const noexcept {
+    return pollers_.load(std::memory_order_seq_cst) != 0;
+  }
   // `why`, or nullptr while stopping or once disconnects are expected.
   const char* unless_expected(const char* why) const noexcept;
   bool link_open(std::size_t rank) const noexcept {
@@ -409,9 +431,17 @@ class distributed_transport : public transport {
     // Units in sendq: written under send_lock, read by in_flight().
     std::atomic<std::uint64_t> queued_units{0};
     std::deque<outgoing> sendq;  // guarded by send_lock
+    // Why the progress thread is to close this link (pending_close_).
+    std::atomic<const char*> verdict{nullptr};
   };
 
   void progress_loop();
+  // Links with input, and (where any thread writes) with a queue.
+  ready_links pollable() const noexcept;
+  // The one pump routine, under the receive claim; false without it.
+  bool pump(const ready_links& ready);
+  // Asks the progress thread to close link `rank` for `why`.
+  void hand_over(std::size_t rank, const char* why) noexcept;
   // Writes the queue's front frames until the channel balks.
   bool pump_out(std::size_t rank);
   void drop(std::size_t rank, std::uint64_t units) noexcept;
@@ -445,8 +475,12 @@ class distributed_transport : public transport {
   std::atomic<std::uint64_t> dropped_total_{0};
   alignas(64) std::atomic<bool> stopping_{false};
   std::atomic<bool> closing_{false};
-  // Ranks whose links mark_peer_dead() asked the progress thread to close.
-  std::atomic<std::uint64_t> pending_dead_{0};
+  // Links the progress thread is to close, each for its `verdict`.
+  std::atomic<std::uint64_t> pending_close_{0};
+  // One consumer per channel: held by whichever thread pumps.
+  std::atomic<bool> rx_claim_{false};
+  std::atomic<std::uint32_t> pollers_{0};  // workers inside poll()
+  std::atomic<std::uint64_t> worker_rx_{0};
   // drain() waiters count themselves in, so the progress thread takes
   // drain_mutex_ only when someone waits.
   std::atomic<std::uint32_t> drain_waiters_{0};

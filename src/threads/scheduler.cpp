@@ -259,12 +259,16 @@ thread_descriptor* scheduler::spin(detail::worker& w) {
       (adaptive ? std::min(kMaxSpinNs, 2 * w.gap_ewma_ns + kMinSpinNs)
                 : kMinSpinNs);
   // Not in sleepers_, so producers skip the notify while this worker spins.
+  // The poll runs first in a pass, so what it spawns is popped at once.
+  thread_descriptor* td = nullptr;
   while (!stop_.load(std::memory_order_relaxed)) {
-    if (auto* td = find_work(w)) return td;
+    if (poll_hook_) poll_hook_(false);
+    if ((td = find_work(w)) != nullptr) break;
     if (util::now_ns() >= deadline) break;
     util::cpu_relax();
   }
-  return nullptr;
+  if (poll_hook_) poll_hook_(true);
+  return td;
 }
 
 void scheduler::park(detail::worker& w) {
@@ -315,6 +319,12 @@ void scheduler::set_idle_hook(std::function<void()> fn) {
   PX_ASSERT_MSG(!running_.load(std::memory_order_acquire),
                 "set_idle_hook after start");
   idle_hook_ = std::move(fn);
+}
+
+void scheduler::set_poll_hook(std::function<void(bool)> fn) {
+  PX_ASSERT_MSG(!running_.load(std::memory_order_acquire),
+                "set_poll_hook after start");
+  poll_hook_ = std::move(fn);
 }
 
 void scheduler::worker_main(detail::worker& w) {

@@ -6,9 +6,10 @@
 // wait-free MPSC inject queue.
 //
 // Idle workers spin, then park.  A worker that runs dry first runs the idle
-// hook (the parcel-port flush), then keeps polling the inject queue and the
-// other deques for a window sized from its own recent idle gaps.  Every gap
-// polls for 2 us, which catches the next task of a burst.  Beyond that the
+// hook (the parcel-port flush), then keeps polling the poll hook (network
+// receive), the inject queue and the other deques for a window sized from
+// its own recent idle gaps.  Every gap polls for 2 us, which catches the
+// next task of a burst.  Beyond that the
 // worker keeps an EWMA (alpha 1/4) of how long it sat idle before work
 // showed up, and stretches the window only while that EWMA is under 50 us,
 // to at most min(50 us, 2 x EWMA + 2 us).  Short request/reply gaps are
@@ -48,7 +49,7 @@ struct scheduler_params {
   std::size_t stack_bytes = 64 * 1024;
   // Busy threads on the host, these workers included, for the idle-spin
   // core-count rule; 0 => workers.  The runtime counts every locality's
-  // workers and each shm progress thread.
+  // workers: no transport thread spins.
   unsigned host_threads = 0;
   std::uint64_t seed = 1;
 };
@@ -91,6 +92,12 @@ class scheduler {
   // computation runs dry).
   // Must be set before start(); must not block.
   void set_idle_hook(std::function<void()> fn);
+
+  // Runs with `false` on each pass of a worker's spin window, and with
+  // `true` when the worker leaves it.  The runtime hangs network receive
+  // here; what it spawns lands on the worker's own deque.  Must be set
+  // before start(); must not block.
+  void set_poll_hook(std::function<void(bool)> fn);
 
   // Creates a ParalleX thread.  Callable from worker threads, from other
   // schedulers' workers, and from plain OS threads (e.g. main, network
@@ -183,6 +190,7 @@ class scheduler {
   bool spin_ = false;  // util::spin_pays(host_threads), resolved once
   std::function<void(unsigned)> worker_init_;
   std::function<void()> idle_hook_;
+  std::function<void(bool)> poll_hook_;
   std::vector<std::unique_ptr<detail::worker>> workers_;
   util::intrusive_mpsc_queue<thread_descriptor> inject_;
   util::spinlock inject_drain_lock_;  // MPSC pop is single-consumer

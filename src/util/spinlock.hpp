@@ -26,8 +26,8 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-// The one rule behind every spin-or-sleep choice in the runtime (the
-// scheduler's idle spin, the shm receiver's spin): waiting by spinning pays
+// The one rule behind the runtime's spin-or-sleep choice (the scheduler's
+// idle spin, which is also the shm receiver's): waiting by spinning pays
 // only when the host has a core for each of the `busy_threads` threads that
 // may spin at once.  Oversubscribed, a spinner just steals cycles from the
 // thread it is waiting for.

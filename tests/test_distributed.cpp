@@ -33,6 +33,9 @@
 #include "introspect/query.hpp"
 #include "litlx/litlx.hpp"
 #include "parcel/migration.hpp"
+#include "threads/scheduler.hpp"
+#include "util/clock.hpp"
+#include "util/spinlock.hpp"
 
 namespace {
 
@@ -108,6 +111,80 @@ TEST(Distributed, PingpongShm2) {
     return;
   }
   px::test::run_ranks(2, "Distributed.PingpongShm2", "shm");
+}
+
+// Receive on the idle worker (shm): rank 0 runs a closed-loop ping-pong,
+// so both ranks' workers spin between replies and read the rings
+// themselves.  Then rank 1's only worker is held in a 20 ms busy fiber
+// while requests arrive: the progress thread, asleep while the worker
+// polled, must take those frames over.
+std::atomic<bool> g_hold_started{false};
+
+void hold_started() { g_hold_started.store(true); }
+PX_REGISTER_ACTION(hold_started)
+
+// Holds this rank's only worker for 20 ms without yielding, once rank 0
+// knows it has begun.
+void hold_worker() {
+  core::locality* here = core::this_locality();
+  core::runtime& rt = here->rt();
+  core::apply<&hold_started>(rt.locality_gid(0));
+  rt.port(rt.rank()).flush(0);
+  const std::int64_t until = util::now_ns() + 20'000'000;
+  while (util::now_ns() < until) {
+  }
+}
+PX_REGISTER_ACTION(hold_worker)
+
+std::uint64_t net_row(runtime& rt, const char* name) {
+  const std::string path = "runtime/loc" + std::to_string(rt.rank()) +
+                           "/net/" + name;
+  return rt.introspection().read(path).value_or(0);
+}
+
+TEST(Distributed, WorkerReceivesAndBackStopServesBusyRankShm2) {
+  if (px::test::is_rank_child()) {
+    constexpr std::uint64_t kPings = 2000;
+    constexpr std::uint64_t kHeld = 32;
+    runtime rt;
+    rt.run([&] {
+      if (rt.rank() != 0) return;
+      for (std::uint64_t i = 0; i < kPings; ++i) {
+        EXPECT_EQ(core::async<&ping>(rt.locality_gid(1), i).get(), i + 1);
+      }
+    });
+    // Both workers spun between the round trips, so each read some frames
+    // (a host without a core per worker spins too briefly to be sure).
+    if (util::spin_pays(2)) {
+      EXPECT_GT(net_row(rt, "worker_rx"), 0u);
+    }
+    const std::uint64_t by_progress =
+        net_row(rt, "msgs_rx") - net_row(rt, "worker_rx");
+
+    rt.run([&] {
+      if (rt.rank() != 0) return;
+      auto held = core::async<&hold_worker>(rt.locality_gid(1));
+      while (!g_hold_started.load()) threads::scheduler::yield();
+      std::vector<lco::future<std::uint64_t>> replies;
+      for (std::uint64_t i = 0; i < kHeld; ++i) {
+        replies.push_back(core::async<&ping>(rt.locality_gid(1), i));
+      }
+      for (std::uint64_t i = 0; i < kHeld; ++i) {
+        EXPECT_EQ(replies[i].get(), i + 1);
+      }
+      held.get();
+    });
+    if (rt.rank() == 1) {
+      // The requests landed while the worker was held: the progress
+      // thread read them.
+      EXPECT_GT(net_row(rt, "msgs_rx") - net_row(rt, "worker_rx"),
+                by_progress);
+    }
+    rt.stop();
+    return;
+  }
+  px::test::run_ranks(2, "Distributed.WorkerReceivesAndBackStopServesBusyRankShm2",
+                      "shm");
 }
 
 // Rank body shared by the fan-out storm tests (tcp and shm).

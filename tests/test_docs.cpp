@@ -6,8 +6,9 @@
 //   * every counter path the introspection registry actually exposes
 //     appears in docs/counters.md (per-locality paths normalized to the
 //     documented loc<i> placeholder), and every path a two-column row of
-//     that page documents is live, so the counter reference always
-//     matches the schema the code registers;
+//     that page documents is live, and every backend-specific row names a
+//     row its backends publish, so the counter reference always matches
+//     the schema the code registers;
 //   * every knob in util::config::known_knobs() is documented in
 //     docs/counters.md AND is accepted by the environment-loading path
 //     (the PR 3 underscore-normalization bug class), and — the reverse
@@ -25,6 +26,8 @@
 #include <string>
 
 #include "core/runtime.hpp"
+#include "net/shm_transport.hpp"
+#include "net/tcp_transport.hpp"
 #include "util/config.hpp"
 
 namespace {
@@ -74,9 +77,11 @@ TEST(Docs, EveryLiveCounterPathIsDocumented) {
 }
 
 // The reverse direction: a documented row must name a counter the code
-// still registers.  Only two-column tables (| path | meaning |) are
-// checked; the three-column backend-specific rows (| path | backend |
-// meaning |) do not exist under the sim backend this test boots.
+// still registers.  Two-column rows (| path | meaning |) are read from
+// the sim runtime this test boots; the three-column backend-specific rows
+// (| path | backend | meaning |) do not exist there, so each is checked
+// against the net/ rows a bare endpoint of every backend it names
+// publishes.
 TEST(Docs, EveryDocumentedCounterIsLive) {
   const std::string doc = read_doc("docs/counters.md");
   ASSERT_FALSE(doc.empty());
@@ -85,6 +90,21 @@ TEST(Docs, EveryDocumentedCounterIsLive) {
   p.localities = 2;
   p.workers_per_locality = 1;
   core::runtime rt(p);
+
+  net::tcp_params tp;
+  tp.nranks = 1;
+  net::shm_params shp;
+  shp.nranks = 1;
+  const net::tcp_transport tcp(tp);
+  const net::shm_transport shm(shp);
+  auto publishes = [](const net::transport& t, const std::string& row) {
+    for (const auto& c : t.extra_link_counters(0)) {
+      if (row == std::string("runtime/loc<i>/net/") + c.name) return true;
+    }
+    return false;
+  };
+  static const std::regex backend_row_re(
+      "^\\| `(runtime/[^`]+)` \\| ([a-z, ]+) \\|");
 
   static const std::regex row_re("^\\| `(runtime/[^`]+)` \\|");
   static const std::regex loc_re("loc<i>");
@@ -100,6 +120,17 @@ TEST(Docs, EveryDocumentedCounterIsLive) {
       continue;
     }
     std::smatch m;
+    if (columns == 3 && std::regex_search(line, m, backend_row_re)) {
+      const std::string backends = m[2].str();
+      ++checked;
+      if ((backends.find("tcp") != std::string::npos &&
+           !publishes(tcp, m[1].str())) ||
+          (backends.find("shm") != std::string::npos &&
+           !publishes(shm, m[1].str()))) {
+        dead.insert(m[1].str() + " (" + backends + ")");
+      }
+      continue;
+    }
     if (columns != 2 || !std::regex_search(line, m, row_re)) continue;
     const std::string documented = m[1].str();
     for (const char* loc : {"loc0", "loc1"}) {

@@ -303,10 +303,11 @@ TEST(Shm, ManySmallFramesFlowThroughRingWrap) {
   // Tiny ring + fast sender: the overflow queue must have engaged rather
   // than anything blocking or dropping.
   const auto extras = pair.a->extra_link_counters(0);
-  ASSERT_EQ(extras.size(), 4u);
+  ASSERT_EQ(extras.size(), 5u);
   EXPECT_STREQ(extras[0].name, "ring_full_waits");
-  EXPECT_STREQ(extras[2].name, "peer_failed");
-  EXPECT_STREQ(extras[3].name, "parcels_lost");
+  EXPECT_STREQ(extras[2].name, "worker_rx");
+  EXPECT_STREQ(extras[3].name, "peer_failed");
+  EXPECT_STREQ(extras[4].name, "parcels_lost");
 }
 
 // ------------------------------------- direct send, on tcp and on shm
@@ -347,8 +348,8 @@ struct shm_backend {
 };
 
 std::uint64_t counter_row(const net::distributed_transport& t,
-                          const char* name) {
-  for (const auto& c : t.extra_link_counters(0)) {
+                          const char* name, net::endpoint_id ep = 0) {
+  for (const auto& c : t.extra_link_counters(ep)) {
     if (std::strcmp(c.name, name) == 0) return c.value;
   }
   ADD_FAILURE() << t.backend_name() << " has no " << name << " row";
@@ -617,6 +618,130 @@ TEST(TcpDirectSend, ClosedPeerDropsWithoutTouchingTheFd) {
 
 TEST(ShmDirectSend, ClosedPeerDropsWithoutTouchingTheChannel) {
   closed_peer_drops_without_touching_the_channel<shm_backend>();
+}
+
+// ------------------------------------------- receive on a polling worker
+
+// The sequence number seq_frame() put into a one-record frame's action.
+std::uint32_t frame_seq(const net::message& m) {
+  const auto view = parcel::frame_view::parse(m.payload);
+  return view.has_value() ? (*view->begin()).action() & 0xFFFFFFu : ~0u;
+}
+
+// A thread polls b's links in bursts while b's progress thread backs it
+// up, over an 8 KiB ring the frames wrap hundreds of times: both take
+// frames, one at a time under the receive claim, so each arrives once and
+// in order.
+TEST(ShmWorkerReceive, PollerRacesTheProgressThreadInOrder) {
+  constexpr std::uint32_t kFrames = 100'000;
+  shm_pair pair(ring_of(8192));
+  std::uint32_t next = 0;  // written under the receive claim only
+  std::atomic<std::uint32_t> out_of_order{0};
+  std::atomic<std::uint32_t> got{0};
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [&](net::message& m) {
+    if (frame_seq(m) != next) out_of_order.fetch_add(1);
+    next = frame_seq(m) + 1;
+    got.fetch_add(1, std::memory_order_release);
+  });
+  pair.connect();
+
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load()) {
+      for (int i = 0; i < 200; ++i) pair.b->poll(false);
+      pair.b->poll(true);  // a busy spell: the progress thread takes over
+      std::this_thread::sleep_for(50us);
+    }
+  });
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    pair.a->send(to_peer(seq_frame(0, i, 8), 1, false));
+  }
+  pair.a->drain();
+  const bool all = eventually([&] { return got.load() == kFrames; });
+  done.store(true);
+  poller.join();
+  ASSERT_TRUE(all) << got.load() << " of " << kFrames;
+  EXPECT_EQ(out_of_order.load(), 0u);
+  EXPECT_EQ(pair.a->in_flight(), 0u);
+  EXPECT_EQ(pair.a->parcels_dropped_total(), 0u);
+  EXPECT_TRUE(eventually([&] {
+    return pair.b->parcels_received_total() == pair.a->messages_sent_total();
+  }));
+  EXPECT_EQ(pair.b->stats(1).messages_received, kFrames);
+  // Both readers took part, and the row reads the engine's count.
+  const std::uint64_t by_worker = pair.b->worker_frames();
+  EXPECT_GT(by_worker, 0u);
+  EXPECT_LT(by_worker, kFrames);
+  EXPECT_EQ(counter_row(*pair.b, "worker_rx", 1), by_worker);
+}
+
+// The poller counts itself in, a frame lands while senders skip the wake,
+// and the poller leaves without reading it (its worker went busy): the
+// last poller's re-check must hand the frame to the progress thread at
+// once, not leave it to the thread's 1 ms timeout.  The idle callback
+// runs on each timed-out wait, just before that pass pumps, so a frame
+// the timeout found sees the count move.
+TEST(ShmWorkerReceive, BackStopTakesOverWhenThePollerStops) {
+  constexpr std::uint32_t kRounds = 200;
+  shm_pair pair;
+  std::atomic<std::uint32_t> got{0};
+  std::atomic<std::uint64_t> timeouts{0};
+  std::atomic<std::uint64_t> timeouts_at_delivery{0};
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [&](net::message&) {
+    timeouts_at_delivery.store(timeouts.load());
+    got.fetch_add(1);
+  });
+  pair.b->set_idle_callback([&] { timeouts.fetch_add(1); });
+  pair.connect();
+
+  std::uint32_t late = 0;
+  for (std::uint32_t i = 0; i < kRounds; ++i) {
+    std::this_thread::sleep_for(300us);  // the progress thread goes to sleep
+    pair.b->poll(false);
+    const std::uint64_t before = timeouts.load();
+    pair.a->send(to_peer(seq_frame(0, i, 8), 1, false));
+    pair.b->poll(true);
+    ASSERT_TRUE(eventually([&] { return got.load() == i + 1; }));
+    if (timeouts_at_delivery.load() != before) ++late;
+  }
+  // Every frame came by the back-stop, nearly all without a timeout.
+  EXPECT_EQ(pair.b->worker_frames(), 0u);
+  EXPECT_LT(late, kRounds / 2);
+  pair.a->drain();
+  EXPECT_EQ(pair.a->in_flight(), 0u);
+  EXPECT_EQ(pair.b->parcels_received_total(), kRounds);
+}
+
+// A garbage frame met by a polling thread: the close, and the death
+// handler with it, run on the progress thread, never on the poller.
+TEST(ShmWorkerReceive, PollerHandsTheCloseToTheProgressThread) {
+  shm_pair pair;
+  std::atomic<bool> died{false};
+  std::thread::id died_on;
+  pair.a->set_handler(0, [](net::message&) {});
+  pair.b->set_handler(1, [](net::message&) {});
+  pair.b->set_peer_death_handler([&](std::size_t) {
+    died_on = std::this_thread::get_id();
+    died.store(true);
+  });
+  pair.connect();
+
+  // Counted in, this thread is the one that meets the frame: the
+  // progress thread sleeps, and the send skips its wake.
+  pair.b->poll(false);
+  std::this_thread::sleep_for(2ms);
+  pair.a->send(to_peer(util::to_bytes(std::string("not a frame")), 1, false));
+  const bool closed = eventually([&] {
+    pair.b->poll(false);
+    return died.load();
+  });
+  pair.b->poll(true);
+  ASSERT_TRUE(closed);
+  EXPECT_NE(died_on, std::this_thread::get_id());
+  EXPECT_EQ(pair.b->peers_failed_total(), 1u);
+  EXPECT_EQ(pair.b->parcels_received_total(), 0u);
 }
 
 }  // namespace
